@@ -17,7 +17,8 @@ pages dirtied in each interval, and Tables 6-7 measure exactly that.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Set
+import struct
+from typing import Dict, FrozenSet, Iterable, Mapping, Set, Tuple
 
 from repro.errors import SegmentationFault
 
@@ -29,6 +30,10 @@ HEAP_BASE = 0x0010_0000
 
 #: Default ceiling for heap growth (64 MiB of simulated heap).
 DEFAULT_LIMIT = 64 * 1024 * 1024
+
+#: Two little-endian u64s: one chunk header (see :mod:`repro.heap.chunk`).
+_PAIR = struct.Struct("<QQ")
+_U64 = (1 << 64) - 1
 
 
 class Memory:
@@ -117,6 +122,29 @@ class Memory:
         self._buf[off:off + size] = (value & ((1 << (8 * size)) - 1)
                                      ).to_bytes(size, "little")
         self._mark_dirty(off, size)
+
+    def read_pair(self, addr: int) -> Tuple[int, int]:
+        """The two u64 words at ``addr``; the same values and faults as
+        ``read_uint(addr, 8)`` followed by ``read_uint(addr + 8, 8)``."""
+        off = addr - self.base
+        if off < 0 or off + 16 > len(self._buf):
+            return self.read_uint(addr, 8), self.read_uint(addr + 8, 8)
+        return _PAIR.unpack_from(self._buf, off)
+
+    def write_pair(self, addr: int, first: int, second: int) -> None:
+        """Store two u64 words at ``addr``: the same bytes, dirty pages
+        and faults as the two matching ``write_uint`` calls, at one
+        bounds check and one pack."""
+        off = addr - self.base
+        if off < 0 or off + 16 > len(self._buf):
+            self.write_uint(addr, 8, first)
+            self.write_uint(addr + 8, 8, second)
+            return
+        _PAIR.pack_into(self._buf, off, first & _U64, second & _U64)
+        page = off // PAGE_SIZE
+        self._dirty_pages.add(page)
+        if (off + 15) // PAGE_SIZE != page:
+            self._dirty_pages.add(page + 1)
 
     def fill(self, addr: int, byte: int, size: int) -> None:
         off = self._check(addr, size)

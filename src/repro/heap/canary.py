@@ -80,7 +80,8 @@ def corrupted_offsets(mem: Memory, addr: int, size: int,
         stats.checks += 1
         stats.bytes_checked += size
     data = mem.read_bytes(addr, size)
-    offs = [i for i, b in enumerate(data) if b != CANARY_BYTE]
-    if offs and stats is not None:
+    if data.count(CANARY_BYTE) == size:
+        return []
+    if stats is not None:
         stats.corruptions += 1
-    return offs
+    return [i for i, b in enumerate(data) if b != CANARY_BYTE]

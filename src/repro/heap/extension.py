@@ -27,7 +27,7 @@ Padding geometry follows the paper: ~1 KB of padding per patched object
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -79,7 +79,8 @@ class AllocDecision:
 
     @classmethod
     def plain(cls) -> "AllocDecision":
-        return cls()
+        """The no-change decision: one shared instance, never mutated."""
+        return _PLAIN_ALLOC
 
 
 @dataclass
@@ -93,7 +94,12 @@ class FreeDecision:
 
     @classmethod
     def plain(cls) -> "FreeDecision":
-        return cls()
+        """The no-change decision: one shared instance, never mutated."""
+        return _PLAIN_FREE
+
+
+_PLAIN_ALLOC = AllocDecision()
+_PLAIN_FREE = FreeDecision()
 
 
 class ChangePolicy:
@@ -155,6 +161,15 @@ class ObjectInfo:
     def in_post_pad(self, addr: int) -> bool:
         end = self.user_addr + self.user_size
         return self.pad_post > 0 and end <= addr < self.block_addr + self.block_size
+
+    def copy(self) -> "ObjectInfo":
+        """An independent copy (the init-tracking bytes included);
+        cheaper than :func:`dataclasses.replace` for snapshots."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        if self.written is not None:
+            clone.written = bytearray(self.written)
+        return clone
 
 
 @dataclass(frozen=True)
@@ -547,16 +562,14 @@ class AllocatorExtension:
             self.clock.charge(ns)
 
     def _op_cost(self) -> int:
-        if self.mode is ExtensionMode.OFF:
+        mode, costs = self.mode, self.costs
+        if mode is ExtensionMode.NORMAL:
+            return costs.extension_ns + costs.patch_lookup_ns
+        if mode is ExtensionMode.OFF:
             return 0
-        cost = self.costs.extension_ns
-        if self.mode is ExtensionMode.NORMAL:
-            cost += self.costs.patch_lookup_ns
-        elif self.mode is ExtensionMode.DIAGNOSTIC:
-            cost += self.costs.extension_ns  # multi-level capture etc.
-        elif self.mode is ExtensionMode.VALIDATION:
-            cost += 2 * self.costs.extension_ns
-        return cost
+        if mode is ExtensionMode.DIAGNOSTIC:
+            return 2 * costs.extension_ns  # multi-level capture etc.
+        return 3 * costs.extension_ns
 
     def _index_add(self, obj: ObjectInfo) -> None:
         bisect.insort(self._starts, obj.block_addr)
@@ -638,7 +651,7 @@ class AllocatorExtension:
         obj = ObjectInfo(
             user_addr=user_addr, user_size=size,
             block_addr=block_addr,
-            block_size=self.allocator.usable_size(block_addr),
+            block_size=self.allocator.last_usable,
             pad_pre=decision.pad_pre, pad_post=decision.pad_post,
             canary_pad=decision.canary_pad, fill=decision.fill,
             alloc_site=callsite, alloc_seq=self._alloc_seq,
@@ -650,13 +663,13 @@ class AllocatorExtension:
         self._index_add(obj)
 
         self.metadata_bytes += METADATA_BYTES
-        self.peak_metadata_bytes = max(self.peak_metadata_bytes,
-                                       self.metadata_bytes)
+        if self.metadata_bytes > self.peak_metadata_bytes:
+            self.peak_metadata_bytes = self.metadata_bytes
         pad = decision.pad_pre + decision.pad_post
         if pad:
             self.padding_bytes += pad
-            self.peak_padding_bytes = max(self.peak_padding_bytes,
-                                          self.padding_bytes)
+            if self.padding_bytes > self.peak_padding_bytes:
+                self.peak_padding_bytes = self.padding_bytes
         if decision.patch_id is not None:
             self.patch_trigger_count += 1
         if self.trace_mm:
@@ -996,9 +1009,7 @@ class AllocatorExtension:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> tuple:
-        objects = {addr: replace(
-            o, written=bytearray(o.written) if o.written is not None else None)
-            for addr, o in self._objects.items()}
+        objects = {addr: o.copy() for addr, o in self._objects.items()}
         return (
             objects, list(self._starts), dict(self._by_start),
             self._alloc_seq, self.quarantine.snapshot(),
@@ -1017,9 +1028,7 @@ class AllocatorExtension:
          over, dang, dbl, mm, illegal,
          meta, peak_meta, pad, peak_pad, triggers, disabled,
          sampling_snap) = snap
-        self._objects = {addr: replace(
-            o, written=bytearray(o.written) if o.written is not None else None)
-            for addr, o in objects.items()}
+        self._objects = {addr: o.copy() for addr, o in objects.items()}
         self._starts = list(starts)
         self._by_start = dict(by_start)
         self._alloc_seq = seq

@@ -23,7 +23,7 @@ from typing import Optional
 
 from repro.heap.allocator import LeaAllocator
 from repro.heap.base import Memory
-from repro.heap.chunk import ALIGN, ChunkView, MIN_CHUNK
+from repro.heap.chunk import ALIGN, MIN_CHUNK
 from repro.util.rng import DeterministicRNG
 
 
@@ -54,7 +54,7 @@ class RandomizedLeaAllocator(LeaAllocator):
             gap = self.rng.randint(MIN_CHUNK // ALIGN,
                                    self.MAX_GAP // ALIGN) * ALIGN
             gap_addr = super()._take_from_top(gap)
-            self._bin_insert(ChunkView(self.mem, gap_addr))
+            self._bin_insert(gap_addr, gap)
         return super()._take_from_top(need)
 
     def snapshot(self) -> tuple:

@@ -39,6 +39,7 @@ far less than a single diagnostic re-execution.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.bugtypes import BugType
@@ -671,10 +672,31 @@ class _Analyzer:
         return False
 
 
+#: Process-wide facts cache, keyed by code identity, with the shape and
+#: bound of the compiled-program cache in :mod:`repro.vm.compile`.
+_CACHE: "OrderedDict[object, ProgramFacts]" = OrderedDict()
+_CACHE_MAX = 64
+
+
 def analyze_program(program: Program) -> ProgramFacts:
-    """Run the static pass and return its facts.  Deterministic and
-    pure: the same :meth:`Program.code_key` always produces the same
-    facts, so callers cache on that key."""
-    analyzer = _Analyzer(program)
-    analyzer.run()
-    return analyzer.collect()
+    """The static facts of ``program``.  Deterministic and pure: the
+    same :meth:`Program.code_key` always produces the same facts, so
+    the pass runs once per code key and process, however many runtimes
+    and sessions diagnose that program."""
+    key = program.code_key()
+    facts = _CACHE.get(key)
+    if facts is None:
+        analyzer = _Analyzer(program)
+        analyzer.run()
+        facts = analyzer.collect()
+        if len(_CACHE) >= _CACHE_MAX:
+            _CACHE.popitem(last=False)
+        _CACHE[key] = facts
+    else:
+        _CACHE.move_to_end(key)
+    return facts
+
+
+def clear_cache() -> None:
+    """Testing hook."""
+    _CACHE.clear()

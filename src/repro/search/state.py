@@ -2,13 +2,14 @@
 
 One :class:`SearchState` is owned by the runtime (or constructed ad hoc
 by tests) and handed to every :class:`~repro.core.diagnosis.DiagnosticEngine`
-it creates, so static-analysis results are computed once per program and
-bandit arm statistics persist across failures.
+it creates, so bandit arm statistics persist across failures.  The
+static-analysis facts it hands out are memoised per process by
+:func:`~repro.search.pruner.analyze_program`, once per program.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.errors import ReproError
 from repro.search.bandit import SearchBandit
@@ -33,7 +34,6 @@ class SearchState:
         self.seed = seed
         self.bandit: Optional[SearchBandit] = (
             SearchBandit(seed) if policy == "bandit" else None)
-        self._facts: Dict[Tuple, ProgramFacts] = {}
 
     @property
     def prunes(self) -> bool:
@@ -44,14 +44,8 @@ class SearchState:
         return self.policy == "bandit"
 
     def facts_for(self, program: Program) -> Optional[ProgramFacts]:
-        """Static facts for ``program`` (cached on its structural
-        key), or ``None`` under the fixed policy -- the legacy path
-        must not even run the analysis."""
+        """Static facts for ``program``, or ``None`` under the fixed
+        policy -- the legacy path must not even run the analysis."""
         if not self.prunes:
             return None
-        key = program.code_key()
-        facts = self._facts.get(key)
-        if facts is None:
-            facts = analyze_program(program)
-            self._facts[key] = facts
-        return facts
+        return analyze_program(program)

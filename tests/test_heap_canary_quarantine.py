@@ -6,6 +6,7 @@ from repro.heap.base import Memory, PAGE_SIZE
 from repro.heap.canary import (
     CANARY_BYTE,
     CANARY_WORD,
+    CanaryStats,
     canary_fill,
     canary_intact,
     corrupted_offsets,
@@ -47,6 +48,22 @@ class TestCanary:
     def test_empty_region(self, mem):
         assert canary_intact(mem, mem.base, 0)
         assert corrupted_offsets(mem, mem.base, 0) == []
+
+    @pytest.mark.parametrize("stomp", [(), (0,), (5, 6, 63), (63,),
+                                       tuple(range(64))])
+    def test_offsets_and_stats_match_a_byte_scan(self, mem, stomp):
+        """Intact, partly and fully corrupted regions: the same offsets
+        and CanaryStats as comparing every byte one by one."""
+        canary_fill(mem, mem.base, 64)
+        for off in stomp:
+            mem.write_bytes(mem.base + off, b"\x00")
+        stats = CanaryStats()
+        offs = corrupted_offsets(mem, mem.base, 64, stats)
+        data = mem.read_bytes(mem.base, 64)
+        assert offs == [i for i, b in enumerate(data) if b != CANARY_BYTE]
+        assert offs == list(stomp)
+        assert stats == CanaryStats(checks=1, bytes_checked=64,
+                                    corruptions=1 if stomp else 0)
 
 
 class TestQuarantine:

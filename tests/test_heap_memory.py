@@ -131,3 +131,65 @@ def test_snapshot_restore_roundtrip():
 def test_unaligned_base_rejected():
     with pytest.raises(ValueError):
         Memory(base=1000)
+
+
+# -- two-word (chunk header) accessors --------------------------------
+
+def test_pair_roundtrip_on_aligned_header():
+    mem = Memory()
+    mem.sbrk(2 * PAGE_SIZE)
+    mem.clear_dirty()
+    addr = mem.base + PAGE_SIZE + 32
+    mem.write_pair(addr, 0x31, (1 << 64) + 0x20)  # wraps like write_uint
+    assert mem.read_pair(addr) == (0x31, 0x20)
+    assert mem.read_uint(addr, 8) == 0x31
+    assert mem.read_uint(addr + 8, 8) == 0x20
+    assert mem.dirty_pages == frozenset({1})
+
+
+def test_pair_straddling_a_page_dirties_both_pages():
+    mem = Memory()
+    mem.sbrk(3 * PAGE_SIZE)
+    mem.clear_dirty()
+    addr = mem.base + 2 * PAGE_SIZE - 12
+    mem.write_pair(addr, 0x1122334455667788, 0x99AABBCCDDEEFF00)
+    assert mem.dirty_pages == frozenset({1, 2})
+    assert mem.read_pair(addr) == (0x1122334455667788,
+                                   0x99AABBCCDDEEFF00)
+    reference = Memory()
+    reference.sbrk(3 * PAGE_SIZE)
+    reference.write_uint(addr, 8, 0x1122334455667788)
+    reference.write_uint(addr + 8, 8, 0x99AABBCCDDEEFF00)
+    assert mem.snapshot()[0] == reference.snapshot()[0]
+
+
+def _fault(call):
+    with pytest.raises(SegmentationFault) as info:
+        call()
+    return str(info.value), info.value.address
+
+
+@pytest.mark.parametrize("offset", [-16, -8, -4, PAGE_SIZE - 12,
+                                    PAGE_SIZE - 8, PAGE_SIZE])
+def test_pair_outside_the_break_faults_like_two_words(offset):
+    """A pair partly or fully outside [base, brk) raises the fault of
+    the first single-word access that would, and a write leaves the
+    same bytes and dirty pages behind (the in-range word is stored)."""
+    def fresh():
+        m = Memory()
+        m.sbrk(PAGE_SIZE)
+        m.clear_dirty()
+        return m
+
+    addr = HEAP_BASE + offset
+    mem, ref = fresh(), fresh()
+    assert _fault(lambda: mem.read_pair(addr)) == _fault(
+        lambda: (ref.read_uint(addr, 8), ref.read_uint(addr + 8, 8)))
+
+    def two_writes():
+        ref.write_uint(addr, 8, 0x41)
+        ref.write_uint(addr + 8, 8, 0x42)
+
+    assert _fault(lambda: mem.write_pair(addr, 0x41, 0x42)) == \
+        _fault(two_writes)
+    assert mem.snapshot() == ref.snapshot()

@@ -378,3 +378,35 @@ def test_ground_truth_bug_types_stay_feasible(app):
     assert facts.deterministic
     for bug_type in app.BUG_TYPES:
         assert facts.feasible(bug_type), (app.name, bug_type)
+
+
+def test_pruned_runtimes_share_one_analysis_per_process(monkeypatch):
+    """The static pass runs once per program and process: a second
+    pruned runtime over the same program reuses the first one's facts
+    instead of re-analysing in its own session."""
+    from repro.core.runtime import FirstAidConfig, FirstAidRuntime
+    from repro.lang import compile_program
+    from repro.search import pruner
+    from tests.test_core_diagnosis import OVERFLOW_APP
+
+    analyses = []
+    real_run = pruner._Analyzer.run
+
+    def counting_run(analyzer):
+        analyses.append(analyzer)
+        return real_run(analyzer)
+
+    monkeypatch.setattr(pruner._Analyzer, "run", counting_run)
+    pruner.clear_cache()
+    program = compile_program(OVERFLOW_APP, "overflow")
+    tokens = [8] * 10 + [64] + [8] * 10 + [0]
+    for _ in range(2):
+        runtime = FirstAidRuntime(
+            program, input_tokens=tokens,
+            config=FirstAidConfig(search_policy="pruned"))
+        try:
+            session = runtime.run()
+        finally:
+            runtime.close()
+        assert session.recoveries
+    assert len(analyses) == 1
