@@ -24,6 +24,7 @@ from repro.core.changes import DiagnosticPolicy, changes_for
 from repro.core.bugtypes import ALL_BUG_TYPES
 from repro.heap.extension import ExtensionMode
 from repro.monitors import FailureEvent, default_monitors
+from repro.parallel.tasks import PASS_REASONS, WINDOW_INTERVALS
 from repro.process import Process
 from repro.util.events import EventLog
 from repro.util.simclock import CostModel
@@ -59,7 +60,7 @@ class RxRuntime:
     def __init__(self, program: Program,
                  input_tokens: Optional[Iterable[int]] = None,
                  checkpoint_interval: int = DEFAULT_INTERVAL,
-                 window_intervals: int = 3,
+                 window_intervals: int = WINDOW_INTERVALS,
                  max_checkpoint_search: int = 8,
                  costs: Optional[CostModel] = None,
                  events: Optional[EventLog] = None,
@@ -127,8 +128,7 @@ class RxRuntime:
             self.process.reseed_entropy(7331 + recovery.rollbacks)
             result = self.process.run(stop_at=window_end)
             self.process.set_costs(saved_costs)
-            if result.reason in (RunReason.STOP, RunReason.HALT,
-                                 RunReason.INPUT_EXHAUSTED):
+            if result.reason in PASS_REASONS:
                 recovery.succeeded = True
                 alloc_sites = policy.seen_alloc_sites
                 free_sites = policy.seen_free_sites

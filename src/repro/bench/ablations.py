@@ -28,6 +28,7 @@ from repro.core.diagnosis import DiagnosticEngine, Verdict
 from repro.core.patches import PatchPool
 from repro.heap.extension import ExtensionMode
 from repro.monitors import FailureEvent, default_monitors
+from repro.parallel.tasks import PASS_REASONS, WINDOW_INTERVALS
 from repro.process import Process
 from repro.vm.machine import RunReason
 
@@ -108,7 +109,8 @@ class _RxStyleProber:
         self.manager = manager
 
     def probe(self, failure: FailureEvent) -> Optional[BugType]:
-        window_end = failure.instr_count + 3 * self.manager.interval
+        window_end = (failure.instr_count
+                      + WINDOW_INTERVALS * self.manager.interval)
         checkpoint = self.manager.latest()
         for bug_type in self.ORDER:
             change = preventive_change(bug_type)
@@ -118,8 +120,7 @@ class _RxStyleProber:
             self.process.set_mode(ExtensionMode.DIAGNOSTIC, policy)
             self.process.reseed_entropy(4242)
             outcome = self.process.run(stop_at=window_end)
-            if outcome.reason in (RunReason.STOP, RunReason.HALT,
-                                  RunReason.INPUT_EXHAUSTED):
+            if outcome.reason in PASS_REASONS:
                 return bug_type
         return None
 

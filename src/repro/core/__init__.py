@@ -3,8 +3,8 @@
 * :mod:`repro.core.bugtypes` -- the bug taxonomy (Table 1);
 * :mod:`repro.core.changes` -- preventive/exposing environmental
   changes and the policies that apply them whole-heap or per-call-site;
-* :mod:`repro.core.patches` -- runtime patches and the persistent,
-  per-program patch pool;
+* :mod:`repro.core.patches` -- runtime patches and the per-program
+  patch pool (persisted through :mod:`repro.store`);
 * :mod:`repro.core.heap_marking` -- the heap-marking technique that
   exposes pre-checkpoint bug manifestations (Section 4.1, Figure 3);
 * :mod:`repro.core.diagnosis` -- the two-phase diagnostic engine;

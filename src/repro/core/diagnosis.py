@@ -62,11 +62,12 @@ from repro.core.patches import PatchPool, RuntimePatch
 from repro.heap.extension import ExtensionMode, Manifestations
 from repro.monitors.base import FailureEvent
 from repro.obs.telemetry import Telemetry
-from repro.parallel.tasks import ReexecTask, encode_state
+from repro.parallel.tasks import (PASS_REASONS, WINDOW_INTERVALS,
+                                  ReexecTask, encode_state)
 from repro.process import Process
 from repro.util.callsite import CallSite
 from repro.util.events import EventLog
-from repro.vm.machine import RunReason, RunResult
+from repro.vm.machine import RunResult
 
 
 #: gauge encoding for the ``diagnosis.search_policy`` metric
@@ -251,7 +252,7 @@ class DiagnosticEngine:
     def __init__(self, process: Process, manager: CheckpointManager,
                  pool: PatchPool, events: Optional[EventLog] = None,
                  max_checkpoint_search: int = 8,
-                 window_intervals: int = 3,
+                 window_intervals: int = WINDOW_INTERVALS,
                  max_rollbacks: int = 200,
                  use_heap_marking: bool = True,
                  site_search: str = "binary",
@@ -685,8 +686,7 @@ class DiagnosticEngine:
                 process.set_costs(saved_costs)
             manifestations = process.extension.scan_manifestations()
             mark_corruptions = marking.scan() if marking else []
-            passed = result.reason in (RunReason.STOP, RunReason.HALT,
-                                       RunReason.INPUT_EXHAUSTED)
+            passed = result.reason in PASS_REASONS
             it_span.set(passed=passed, reason=result.reason.value)
         self.events.emit(
             process.clock.now_ns, "diagnosis.iteration",

@@ -7,17 +7,14 @@ execution the allocator extension asks the pool, at every allocation
 and deallocation, whether the current call-site matches a patch; if so
 the patch's preventive change is applied to that object only.
 
-The pool is keyed by *program*, not process: patches persist to disk
-(JSON) and are picked up by subsequent runs and by other processes
-running the same executable, which is how First-Aid prevents
+The pool is keyed by *program*, not process: through the shared patch
+store (:mod:`repro.store`) its patches reach subsequent runs and other
+processes running the same executable, which is how First-Aid prevents
 reoccurrence system-wide.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional
 
@@ -32,12 +29,6 @@ from repro.core.changes import (
 from repro.errors import PatchError
 from repro.heap.extension import AllocDecision, ChangePolicy, FreeDecision
 from repro.util.callsite import CallSite
-
-#: On-disk schema of ``PatchPool.save()``.  Version 1 (the seed) had no
-#: ``schema`` field and dropped mutable bookkeeping (``trigger_count``)
-#: on the floor; version 2 round-trips every field.  ``load`` accepts
-#: both and rejects anything newer than it understands.
-POOL_SCHEMA = 2
 
 
 def patch_key(bug_type: BugType, point: CallSite) -> str:
@@ -84,7 +75,7 @@ class RuntimePatch:
                 f"{self.point.render()}")
 
     def to_json(self) -> dict:
-        """Full-fidelity wire/disk form: every field, including the
+        """Full-fidelity wire form: every field, including the
         mutable bookkeeping (``trigger_count``), round-trips."""
         return {
             "patch_id": self.patch_id,
@@ -216,75 +207,6 @@ class PatchPool:
         pool = cls(program_name)
         for item in items:
             pool._register(RuntimePatch.from_json(item))
-        return pool
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        """Atomically write the pool to ``path`` as JSON."""
-        payload = {
-            "schema": POOL_SCHEMA,
-            "program": self.program_name,
-            "patches": [p.to_json() for p in self._patches.values()],
-        }
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=2)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    @classmethod
-    def load(cls, path: str) -> "PatchPool":
-        """Load a saved pool.  Corrupt or truncated JSON, a wrong
-        payload shape, and an unknown future schema all surface as
-        :class:`PatchError` (never a raw ``json.JSONDecodeError``);
-        ``FileNotFoundError`` passes through for ``load_or_create``."""
-        with open(path) as handle:
-            try:
-                payload = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise PatchError(
-                    f"patch pool at {path} is corrupt or truncated: "
-                    f"{exc}") from exc
-        try:
-            schema = int(payload.get("schema", 1))
-            if schema > POOL_SCHEMA:
-                raise PatchError(
-                    f"patch pool at {path} uses schema {schema}; this "
-                    f"build understands <= {POOL_SCHEMA}")
-            pool = cls(payload["program"])
-            for item in payload["patches"]:
-                pool._register(RuntimePatch.from_json(item))
-        except PatchError:
-            raise
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise PatchError(
-                f"patch pool at {path} has a malformed payload: "
-                f"{exc!r}") from exc
-        return pool
-
-    @classmethod
-    def load_or_create(cls, path: str, program_name: str) -> "PatchPool":
-        """Load ``path`` if it exists, else a fresh pool.  Free of the
-        exists()/load() TOCTOU window: the file is opened directly and
-        a concurrent unlink surfaces as the fresh-pool path, not a
-        crash."""
-        try:
-            pool = cls.load(path)
-        except FileNotFoundError:
-            return cls(program_name)
-        if pool.program_name != program_name:
-            raise PatchError(
-                f"patch pool at {path} belongs to "
-                f"{pool.program_name!r}, not {program_name!r}")
         return pool
 
 

@@ -5,7 +5,8 @@ under periodic checkpointing; when an error monitor catches a failure,
 diagnose it, generate and apply runtime patches, recover by re-executing
 from the identified checkpoint with the patches active, then validate
 the patches on a clone (off the recovery path) and produce a bug
-report.  Patches persist in the pool -- optionally on disk -- so
+report.  Patches persist in the pool for the session and, with a shared
+store configured (``store_path``), for every process of the program, so
 subsequent failures from the same bug never happen.
 """
 
@@ -21,10 +22,9 @@ from repro.core.diagnosis import Diagnosis, DiagnosticEngine, Verdict
 from repro.core.patches import PatchPolicy, PatchPool
 from repro.core.report import BugReport
 from repro.core.validation import ValidationEngine, ValidationResult
-from repro.heap.base import DEFAULT_LIMIT
 from repro.heap.extension import ExtensionMode
 from repro.heap.quarantine import DEFAULT_THRESHOLD
-from repro.monitors import ErrorMonitor, FailureEvent, default_monitors
+from repro.monitors import FailureEvent, default_monitors
 from repro.obs.health import (
     LATENCY_BOUNDS,
     RECOVERY_BOUNDS,
@@ -36,13 +36,17 @@ from repro.obs.metrics import Histogram
 from repro.obs.telemetry import Telemetry
 from repro.errors import StoreError
 from repro.parallel.executor import make_executor
+from repro.parallel.tasks import PASS_REASONS, WINDOW_INTERVALS
 from repro.process import Process
 from repro.store import SharedPatchStore, TornWriteCrash
 from repro.util.events import EventLog
-from repro.util.simclock import CostModel
-from repro.vm.io import ReplayableInput
 from repro.vm.machine import RunReason, RunResult
 from repro.vm.program import Program
+
+#: Patched re-executions from the diagnosis checkpoint (fresh entropy
+#: each) before recovery reports failure; ladder rung 3 makes the same
+#: number of plain attempts.
+MAX_RECOVERY_ATTEMPTS = 2
 
 
 @dataclass
@@ -50,45 +54,31 @@ class FirstAidConfig:
     """Tunables, with the paper's experimental defaults."""
 
     checkpoint_interval: int = DEFAULT_INTERVAL      # 200 ms equivalent
-    max_checkpoints: int = 64
-    adaptive_checkpointing: bool = True
     #: Incremental (delta/keyframe) checkpointing: each checkpoint
     #: stores only the pages dirtied since the previous one, with a
-    #: full keyframe every ``keyframe_every`` checkpoints bounding the
-    #: restore chain.  Disable to reproduce the seed's full-copy
-    #: behaviour for A/B measurements.
+    #: periodic full keyframe bounding the restore chain.  Disable to
+    #: reproduce the seed's full-copy behaviour for A/B measurements.
     incremental_checkpoints: bool = True
-    keyframe_every: int = 8
-    overhead_target: float = 0.05                    # T_overhead
-    max_interval: int = 20 * DEFAULT_INTERVAL        # T_checkpoint
-    window_intervals: int = 3          # failure-region length (Sec 4.1)
-    max_checkpoint_search: int = 8     # phase-1 rollback budget
-    max_rollbacks: int = 200           # diagnosis timeout
     validate: bool = True
-    validation_iterations: int = 3
     quarantine_threshold: int = DEFAULT_THRESHOLD    # 1 MB
     #: Memory-pressure failsafe: total bytes runtime patches may hold
     #: (padding + delay-freed objects) before patching is disabled and
     #: the oldest delay-freed objects are released.  None = unlimited.
     max_patch_memory: Optional[int] = None
-    heap_limit: int = DEFAULT_LIMIT
-    pool_path: Optional[str] = None    # persistent patch pool (JSON)
-    #: Crash-safe *shared* patch store (repro.store, DESIGN.md §9):
-    #: merge-on-write, file-locked, survives concurrent processes of
-    #: the same program.  Patches publish on creation and validation,
-    #: failed validation retracts them fleet-wide, and a periodic
-    #: refresh (every ``store_refresh_boundaries`` checkpoint
-    #: boundaries) absorbs patches other processes published mid-run.
-    #: Prefer this over ``pool_path`` whenever more than one process
-    #: may run the program.
+    #: Crash-safe shared patch store (repro.store, DESIGN.md §9), the
+    #: one place patches persist beyond the session: merge-on-write,
+    #: file-locked, survives concurrent processes of the same program.
+    #: Patches publish on creation and validation, failed validation
+    #: retracts them fleet-wide, and a periodic refresh (every
+    #: ``store_refresh_boundaries`` checkpoint boundaries) absorbs
+    #: patches other processes published mid-run.  With a store the
+    #: fleet health plane (repro.obs.health, DESIGN.md §12) is on too:
+    #: the runtime publishes a :class:`~repro.obs.health.HealthBeacon`
+    #: into ``<store>.health`` at every store-refresh boundary and at
+    #: session exit.  Health failures degrade (``health.error``
+    #: events), never raise.
     store_path: Optional[str] = None
     store_refresh_boundaries: int = 2
-    #: Fleet health plane (repro.obs.health, DESIGN.md §12).  With a
-    #: shared store configured, the runtime publishes a
-    #: :class:`~repro.obs.health.HealthBeacon` into ``<store>.health``
-    #: at every store-refresh boundary and at session exit.  Health
-    #: failures degrade (``health.error`` events), never raise.
-    health: bool = True
     #: Stable fleet identity for this process's beacons.  Defaults to
     #: ``<program>#<pid>``, which is fine for ad-hoc runs; harnesses
     #: that need deterministic reports pass role labels ("leader-0",
@@ -99,7 +89,6 @@ class FirstAidConfig:
     #: plan); the chaos harness uses it to prove beacon corruption
     #: never touches recovery.
     health_faults: Optional[object] = None
-    max_recovery_attempts: int = 2
     entropy_seed: int = 1
     #: Worker processes for the parallel recovery engine.  1 (default)
     #: keeps every re-execution in-process on the original serial
@@ -155,9 +144,10 @@ class FirstAidConfig:
     #: identical -- snapshots, sim time, fault sites, telemetry -- and
     #: exists purely for wall-clock speed; every re-execution the
     #: runtime performs (diagnosis probes, validation runs, forked
-    #: worker tasks) inherits the tier.  Tests default to the reference
-    #: interpreter; benches opt into "compiled".
-    vm_tier: str = "reference"
+    #: worker tasks) inherits the tier.  The reference interpreter
+    #: stays the oracle the differential fuzzer checks "compiled"
+    #: against.
+    vm_tier: str = "compiled"
     #: Diagnosis search policy (repro.search, DESIGN.md §13).
     #: "fixed" is the legacy schedule; "pruned" adds static bytecode
     #: feasibility masks + call-site arm pruning (fewer probes
@@ -172,21 +162,11 @@ class FirstAidConfig:
     #: process diagnoses publish at STAGED; only the canary cohort
     #: (hash of ``process_label`` under ``canary_fraction``) absorbs
     #: pre-fleet-wide patches, and a patch the fleet rolled back is
-    #: never (re-)adopted for the rest of this session.
+    #: never (re-)adopted for the rest of this session.  Promotion is
+    #: not decided here: a :class:`~repro.rollout.PromotionController`
+    #: reads the store and the beacons and moves stages.
     rollout: bool = False
     canary_fraction: float = 0.25
-    #: Promotion gates (see repro.rollout.machine.RolloutConfig), all
-    #: in simulated nanoseconds.
-    rollout_min_observe_ns: int = 200_000_000
-    rollout_max_failure_rate: float = 0.0
-    rollout_max_latency_p99_ns: int = 10_000_000_000
-    rollout_min_canary: int = 1
-    #: Run the promotion controller inside this process (at store-
-    #: refresh boundaries and session exit).  Any process may carry
-    #: it -- decisions are a pure function of store + beacons, and
-    #: stage writes merge monotonically -- but benches typically
-    #: designate one.
-    rollout_controller: bool = False
     #: Sampled always-on detection (repro.sampling, DESIGN.md §15).
     #: 0 (default) attaches nothing: every code path is byte-identical
     #: to the pre-sampling behaviour.  N > 0 promotes every ~1/N
@@ -244,19 +224,11 @@ class FirstAidRuntime:
 
     def __init__(self, program: Program,
                  input_tokens: Optional[Iterable[int]] = None,
-                 input_stream: Optional[ReplayableInput] = None,
-                 config: Optional[FirstAidConfig] = None,
-                 pool: Optional[PatchPool] = None,
-                 monitors: Optional[List[ErrorMonitor]] = None,
-                 costs: Optional[CostModel] = None,
-                 events: Optional[EventLog] = None,
-                 telemetry: Optional[Telemetry] = None):
+                 config: Optional[FirstAidConfig] = None):
         self.config = config or FirstAidConfig()
-        self.telemetry = (telemetry if telemetry is not None
-                          else Telemetry(enabled=self.config.telemetry))
-        self.events = events if events is not None \
-            else EventLog(max_events=self.config.max_events)
-        self.pool = pool or self._load_pool(program.name)
+        self.telemetry = Telemetry(enabled=self.config.telemetry)
+        self.events = EventLog(max_events=self.config.max_events)
+        self.pool = PatchPool(program.name)
         #: Shared patch store (None without config.store_path).  The
         #: startup sync runs before the policy is built, so a patch any
         #: peer already published prevents its bug from this process's
@@ -264,9 +236,9 @@ class FirstAidRuntime:
         self.store = None
         self._store_generation = -1
         self._boundaries_since_refresh = 0
-        #: Fleet health channel (None without a store or with
-        #: config.health off).  Rides next to the patch store and
-        #: reuses its crash-safe machinery; see repro.obs.health.
+        #: Fleet health channel (None without a store).  Rides next to
+        #: the patch store and reuses its crash-safe machinery; see
+        #: repro.obs.health.
         self.health = None
         self._health_seq = 0
         self._retractions = 0
@@ -278,7 +250,6 @@ class FirstAidRuntime:
                                or f"{program.name}#{os.getpid()}")
         #: Rollout state (repro.rollout, DESIGN.md §14).  All sim-time.
         self._canary = True
-        self._rollout_controller = None
         self._adopted_ns = {}            # patch_key -> sim adoption time
         self._post_adopt_failures = {}   # patch_key -> failures while live
         self._rolled_back_keys = set()   # never re-adopt this session
@@ -291,48 +262,29 @@ class FirstAidRuntime:
                                           program.name)
             self.store.events = self.events
             self._store_sync(initial=True)
-            if self.config.health:
-                self.health = HealthChannel(
-                    health_path(self.config.store_path), program.name,
-                    faults=self.config.health_faults)
-                self.health.events = self.events
-        self.process = Process(
-            program,
-            input_tokens=input_tokens,
-            input_stream=input_stream,
-            mode=ExtensionMode.NORMAL,
-            policy=None,
-            costs=costs,
-            heap_limit=self.config.heap_limit,
-            quarantine_threshold=self.config.quarantine_threshold,
-            entropy_seed=self.config.entropy_seed,
-            vm_tier=self.config.vm_tier,
-            sampling_rate=self.config.sampling_rate,
-        )
+            self.health = HealthChannel(
+                health_path(self.config.store_path), program.name,
+                faults=self.config.health_faults)
+            self.health.events = self.events
+        self.policy = PatchPolicy(self.pool)
+        self.process = self._make_process(program,
+                                          input_tokens=input_tokens)
         #: The session's base cost model, kept for restart respawns (a
         #: chaos fault could interrupt an engine mid cost-model swap).
         self._costs = self.process.costs
-        self.policy = PatchPolicy(self.pool)
-        self.process.extension.policy = self.policy
-        self.process.extension.patch_memory_limit = \
-            self.config.max_patch_memory
-        if self.config.chaos is not None:
-            self.process.extension.sampling_chaos = self.config.chaos
-        self.process.attach_telemetry(self.telemetry)
         if self.telemetry.enabled:
             self.events.tap = self.telemetry.recorder.record_event
         self.manager = self._make_manager()
-        self.monitors = monitors if monitors is not None \
-            else default_monitors()
+        self.monitors = default_monitors()
         #: Execution backend shared by diagnosis and validation; None
         #: (workers <= 1) keeps the legacy in-process serial paths.
         self.executor = make_executor(
             self.config.workers, program, self.telemetry,
             task_timeout_s=self.config.worker_timeout_s)
         self.validator = ValidationEngine(
-            self.config.validation_iterations, self.events,
-            telemetry=self.telemetry, executor=self.executor,
-            store=self.store, chaos=self.config.chaos)
+            events=self.events, telemetry=self.telemetry,
+            executor=self.executor, store=self.store,
+            chaos=self.config.chaos)
         #: Session-owned search state: static facts cached per program,
         #: bandit arm statistics persisting across failures.  Imported
         #: lazily -- repro.search depends on repro.core.bugtypes, and
@@ -343,17 +295,31 @@ class FirstAidRuntime:
         self.recoveries: List[RecoveryRecord] = []
         self._recovery_supervisor = None
 
+    def _make_process(self, program: Program, **kw) -> Process:
+        """A normal-mode process under this runtime's patch policy,
+        patch-memory failsafe, chaos plan and telemetry.  ``__init__``
+        and the restart respawn both build through here."""
+        process = Process(
+            program,
+            mode=ExtensionMode.NORMAL,
+            policy=self.policy,
+            quarantine_threshold=self.config.quarantine_threshold,
+            entropy_seed=self.config.entropy_seed,
+            vm_tier=self.config.vm_tier,
+            sampling_rate=self.config.sampling_rate,
+            **kw)
+        process.extension.patch_memory_limit = self.config.max_patch_memory
+        if self.config.chaos is not None:
+            process.extension.sampling_chaos = self.config.chaos
+        process.attach_telemetry(self.telemetry)
+        return process
+
     def _make_manager(self) -> CheckpointManager:
         manager = CheckpointManager(
             self.process,
             interval=self.config.checkpoint_interval,
-            max_keep=self.config.max_checkpoints,
-            adaptive=self.config.adaptive_checkpointing,
-            overhead_target=self.config.overhead_target,
-            max_interval=self.config.max_interval,
             events=self.events,
             incremental=self.config.incremental_checkpoints,
-            keyframe_every=self.config.keyframe_every,
             telemetry=self.telemetry,
             chaos=self.config.chaos,
         )
@@ -379,12 +345,6 @@ class FirstAidRuntime:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
-
-    def _load_pool(self, program_name: str) -> PatchPool:
-        path = self.config.pool_path
-        if path:
-            return PatchPool.load_or_create(path, program_name)
-        return PatchPool(program_name)
 
     # ------------------------------------------------------------------
     # shared patch store (DESIGN.md §9)
@@ -447,7 +407,6 @@ class FirstAidRuntime:
         if generation != self._store_generation:
             self._store_sync()
         self._health_publish("running")
-        self._rollout_tick()
 
     def _store_publish(self, patches, restage: bool = False) -> None:
         if self.store is None or not patches:
@@ -484,38 +443,6 @@ class FirstAidRuntime:
                     is not None:
                 self._post_adopt_failures[key] = \
                     self._post_adopt_failures.get(key, 0) + 1
-
-    def _rollout_tick(self) -> None:
-        """Run the promotion controller, when this process carries it.
-        Every failure degrades to a ``rollout.error`` event: rollout
-        bookkeeping must never take down the session."""
-        if not (self.config.rollout and self.config.rollout_controller) \
-                or self.store is None or self.health is None:
-            return
-        try:
-            if self._rollout_controller is None:
-                from repro.rollout import (PromotionController,
-                                           RolloutConfig)
-                cfg = RolloutConfig(
-                    canary_fraction=self.config.canary_fraction,
-                    min_observe_ns=self.config.rollout_min_observe_ns,
-                    max_failure_rate=self.config
-                    .rollout_max_failure_rate,
-                    max_latency_p99_ns=self.config
-                    .rollout_max_latency_p99_ns,
-                    min_canary_processes=self.config
-                    .rollout_min_canary)
-                self._rollout_controller = PromotionController(
-                    self.store, self.health, cfg, events=self.events)
-            decisions = self._rollout_controller.tick(
-                time_ns=self.process.clock.now_ns)
-        except Exception as exc:  # noqa: BLE001 - degrade, never die
-            self.events.emit(0, "rollout.error", error=str(exc))
-            return
-        if decisions:
-            # Reflect our own promotions/rollbacks immediately (e.g. a
-            # canary controller dropping a patch it just condemned).
-            self._store_sync()
 
     # ------------------------------------------------------------------
     # fleet health plane (DESIGN.md §12)
@@ -703,9 +630,6 @@ class FirstAidRuntime:
         # view that only shows processes with patches cannot answer
         # "did everyone survive?".
         self._health_publish(session.reason)
-        # A controller-carrying process decides once more on the way
-        # out, with its own exit beacon already on the channel.
-        self._rollout_tick()
         return session
 
     def _detect_failure(self, result: RunResult) -> Optional[FailureEvent]:
@@ -782,25 +706,9 @@ class FirstAidRuntime:
         baseline's semantics -- plus a fresh checkpoint manager (old
         checkpoints describe a heap that no longer exists)."""
         old = self.process
-        self.process = Process(
-            old.program,
-            input_stream=old.input,
-            mode=ExtensionMode.NORMAL,
-            policy=self.policy,
-            clock=old.clock,
-            costs=self._costs,
-            heap_limit=self.config.heap_limit,
-            quarantine_threshold=self.config.quarantine_threshold,
-            entropy_seed=self.config.entropy_seed,
-            output=old.output,
-            vm_tier=self.config.vm_tier,
-            sampling_rate=self.config.sampling_rate,
-        )
-        self.process.extension.patch_memory_limit = \
-            self.config.max_patch_memory
-        if self.config.chaos is not None:
-            self.process.extension.sampling_chaos = self.config.chaos
-        self.process.attach_telemetry(self.telemetry)
+        self.process = self._make_process(
+            old.program, input_stream=old.input, clock=old.clock,
+            costs=self._costs, output=old.output)
         self.manager = self._make_manager()
 
     def _handle_failure_traced(self, failure: FailureEvent,
@@ -810,9 +718,6 @@ class FirstAidRuntime:
         diag_log = EventLog(max_events=self.config.max_events)
         engine = DiagnosticEngine(
             self.process, self.manager, self.pool, diag_log,
-            max_checkpoint_search=self.config.max_checkpoint_search,
-            window_intervals=self.config.window_intervals,
-            max_rollbacks=self.config.max_rollbacks,
             telemetry=self.telemetry,
             executor=self.executor,
             chaos=self.config.chaos,
@@ -857,8 +762,7 @@ class FirstAidRuntime:
         # checkpoint with the new patches active.
         self.policy.refresh()
         window_end = (failure.instr_count
-                      + self.config.window_intervals
-                      * self.manager.interval)
+                      + WINDOW_INTERVALS * self.manager.interval)
         recovered = self._recover(diagnosis, window_end)
         record.recovery_time_ns = self.process.clock.now_ns - t_start
         record.succeeded = recovered
@@ -887,8 +791,6 @@ class FirstAidRuntime:
         self.events.emit(self.process.clock.now_ns, "recovery.done",
                          time_s=record.recovery_time_ns / 1e9,
                          patches=len(diagnosis.patches))
-        if self.config.pool_path:
-            self.pool.save(self.config.pool_path)
         if self.config.rollout:
             # Self-diagnosed patches count as adopted from now on
             # (post-adopt attribution), and a fresh diagnosis of a
@@ -949,8 +851,6 @@ class FirstAidRuntime:
                                               diagnosis.patches])
                 for patch in diagnosis.patches:
                     patch.validated = True
-                if self.config.pool_path:
-                    self.pool.save(self.config.pool_path)
                 # Publish on validation: the validated flag is sticky
                 # in the store's merge, making the patch trustworthy
                 # fleet-wide.
@@ -972,7 +872,7 @@ class FirstAidRuntime:
         """Re-execute from the diagnosis checkpoint in normal mode with
         patches applied; True when the failure region is passed."""
         checkpoint = diagnosis.checkpoint
-        for attempt in range(self.config.max_recovery_attempts):
+        for attempt in range(MAX_RECOVERY_ATTEMPTS):
             with self.telemetry.span("recovery.attempt",
                                      attempt=attempt) as att_span:
                 with self.telemetry.span("rollback",
@@ -984,8 +884,7 @@ class FirstAidRuntime:
                     self.config.entropy_seed + 7000 + attempt)
                 with self.telemetry.span("reexec"):
                     result = self.process.run(stop_at=window_end)
-                passed = result.reason in (RunReason.STOP, RunReason.HALT,
-                                           RunReason.INPUT_EXHAUSTED)
+                passed = result.reason in PASS_REASONS
                 att_span.set(passed=passed)
             if passed:
                 return True

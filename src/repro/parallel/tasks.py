@@ -44,6 +44,9 @@ from repro.vm.state import MachineSnapshot
 
 #: Run outcomes that count as "survived the failure region".
 PASS_REASONS = (RunReason.STOP, RunReason.HALT, RunReason.INPUT_EXHAUSTED)
+#: Failure-region length in checkpoint intervals (paper Section 4.1):
+#: a re-execution that survives this far past the failure passes.
+WINDOW_INTERVALS = 3
 
 
 def encode_state(state: ProcessSnapshot) -> tuple:

@@ -5,11 +5,12 @@ outliving the process that generated them: a patch diagnosed in one
 process must reach concurrent and future processes of the same program,
 and must survive the messy realities of shared files -- concurrent
 writers, processes dying mid-write, corrupted payloads, abandoned
-locks.  ``PatchPool.save()`` alone gives none of that: it is
-last-writer-wins, so two processes publishing interleaved silently
-erase each other's patches.
+locks.  A plain file write gives none of that: it is last-writer-wins,
+so two processes publishing interleaved silently erase each other's
+patches.
 
-:class:`SharedPatchStore` is the fix.  One JSON file per program, built
+:class:`SharedPatchStore` is the runtime's one persistence path
+(``FirstAidConfig.store_path``).  One JSON file per program, built
 on the generic crash-safe channel machinery
 (:class:`~repro.store.base.SharedStateChannel`: sidecar file locking
 with stale-lock breaking, atomic double-written commits, corruption

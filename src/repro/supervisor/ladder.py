@@ -45,10 +45,11 @@ from repro.baselines.restart import RESTART_DOWNTIME_NS
 from repro.core.changes import all_preventive_policy
 from repro.core.diagnosis import Diagnosis, Verdict
 from repro.core.report import BugReport
+from repro.core.runtime import MAX_RECOVERY_ATTEMPTS, RecoveryRecord
 from repro.errors import CheckpointError
 from repro.heap.extension import ExtensionMode
 from repro.monitors.base import FailureEvent
-from repro.parallel.tasks import PASS_REASONS
+from repro.parallel.tasks import PASS_REASONS, WINDOW_INTERVALS
 from repro.util.events import EventLog
 
 
@@ -109,8 +110,7 @@ class RecoverySupervisor:
         t0 = clock.now_ns
         self._forced_exhaust = False
         window_end = (failure.instr_count
-                      + self.config.window_intervals
-                      * rt.manager.interval)
+                      + WINDOW_INTERVALS * rt.manager.interval)
         trail: List[RungAttempt] = []
 
         # Rung 1: the targeted path, untouched.  On success nothing is
@@ -170,7 +170,6 @@ class RecoverySupervisor:
         try:
             record = rt._handle_failure_traced(failure)
         except Exception as exc:  # noqa: BLE001 - the ladder's job
-            from repro.core.runtime import RecoveryRecord
             record = RecoveryRecord(failure=failure)
             record.recovery_time_ns = rt.process.clock.now_ns - t0
             record.notes.append(f"targeted recovery raised: {exc!r}")
@@ -227,8 +226,7 @@ class RecoverySupervisor:
             latest = rt.manager.latest()
         except CheckpointError as exc:
             return False, str(exc)
-        attempts = max(1, self.config.max_recovery_attempts)
-        for attempt in range(attempts):
+        for attempt in range(MAX_RECOVERY_ATTEMPTS):
             with rt.telemetry.span("recovery.rung",
                                    rung=int(Rung.ROLLBACK),
                                    attempt=attempt) as span:
@@ -247,8 +245,9 @@ class RecoverySupervisor:
                 span.set(passed=passed)
             if passed:
                 return True, ""
-        return False, (f"plain re-execution failed {attempts}x "
-                       f"from checkpoint #{latest.index}")
+        return False, (f"plain re-execution failed "
+                       f"{MAX_RECOVERY_ATTEMPTS}x from checkpoint "
+                       f"#{latest.index}")
 
     def _rung_restart(self, failure: FailureEvent,
                       window_end: int) -> Tuple[bool, str]:

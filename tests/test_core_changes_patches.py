@@ -1,5 +1,5 @@
 """Tests for environmental changes, diagnostic policies, and the patch
-pool (including persistence)."""
+pool (including its wire form)."""
 
 import pytest
 
@@ -158,38 +158,6 @@ class TestPatchPool:
         assert len(pool) == 0
         assert pool.get(patch.patch_id) is None
 
-    def test_persistence_roundtrip(self, tmp_path):
-        path = str(tmp_path / "pool.json")
-        pool = PatchPool("myapp")
-        pool.new_patch(BugType.BUFFER_OVERFLOW,
-                       site(("alloc", 3), ("handler", 7), ("main", 2)))
-        patch = pool.new_patch(BugType.DOUBLE_FREE, site(("free", 1)))
-        patch.validated = True
-        pool.save(path)
-        loaded = PatchPool.load(path)
-        assert loaded.program_name == "myapp"
-        assert len(loaded) == 2
-        reloaded = loaded.find(BugType.DOUBLE_FREE, site(("free", 1)))
-        assert reloaded.validated
-        # new patches continue the id sequence
-        fresh = loaded.new_patch(BugType.UNINIT_READ, site(("x", 9)))
-        assert fresh.patch_id > patch.patch_id
-
-    def test_load_or_create(self, tmp_path):
-        path = str(tmp_path / "pool.json")
-        pool = PatchPool.load_or_create(path, "app")
-        assert len(pool) == 0
-        pool.new_patch(BugType.UNINIT_READ, site(("f", 1)))
-        pool.save(path)
-        again = PatchPool.load_or_create(path, "app")
-        assert len(again) == 1
-
-    def test_load_or_create_program_mismatch(self, tmp_path):
-        path = str(tmp_path / "pool.json")
-        PatchPool("alpha").save(path)
-        with pytest.raises(PatchError):
-            PatchPool.load_or_create(path, "beta")
-
 
 class TestPatchPolicy:
     def test_matching_site_gets_preventive_change(self):
@@ -230,7 +198,7 @@ class TestPatchPolicy:
 
 
 class TestRoundTripFidelity:
-    """to_json/from_json and save/load must preserve pools *exactly*,
+    """to_json/from_json must preserve pools *exactly*,
     including mutable bookkeeping -- the seed dropped trigger_count on
     the floor, silently resetting Table 4's "triggered N times"."""
 
@@ -250,15 +218,6 @@ class TestRoundTripFidelity:
         rebuilt = PatchPool.from_patches("app", wire)
         assert rebuilt.patches()[0].trigger_count == 9
 
-    def test_save_load_preserves_trigger_counts(self, tmp_path):
-        path = str(tmp_path / "pool.json")
-        pool = PatchPool("app")
-        patch = pool.new_patch(BugType.UNINIT_READ, site(("h", 3)))
-        patch.trigger_count = 41
-        pool.save(path)
-        loaded = PatchPool.load(path)
-        assert loaded.patches()[0].trigger_count == 41
-
     def test_copy_contract_matches_wire_form(self):
         """from_patches(to_json()) must honor the same contract as
         PatchPool.copy(): same patches, live counts, decoupled."""
@@ -271,60 +230,6 @@ class TestRoundTripFidelity:
         assert wp == patch
         wp.trigger_count += 100          # worker-side accounting
         assert patch.trigger_count == 5  # never bleeds back
-
-    def test_schema_version_written_and_v1_accepted(self, tmp_path):
-        import json
-        path = str(tmp_path / "pool.json")
-        pool = PatchPool("app")
-        pool.new_patch(BugType.UNINIT_READ, site(("f", 1)))
-        pool.save(path)
-        payload = json.load(open(path))
-        from repro.core.patches import POOL_SCHEMA
-        assert payload["schema"] == POOL_SCHEMA
-        # a v1 (schema-less) file still loads
-        del payload["schema"]
-        for item in payload["patches"]:
-            del item["trigger_count"]
-        json.dump(payload, open(path, "w"))
-        assert len(PatchPool.load(path)) == 1
-
-    def test_future_schema_rejected(self, tmp_path):
-        import json
-        path = str(tmp_path / "pool.json")
-        json.dump({"schema": 99, "program": "app", "patches": []},
-                  open(path, "w"))
-        with pytest.raises(PatchError):
-            PatchPool.load(path)
-
-
-class TestLoadRobustness:
-    def test_corrupt_json_raises_patch_error(self, tmp_path):
-        path = str(tmp_path / "pool.json")
-        with open(path, "w") as fh:
-            fh.write('{"program": "app", "patches": [{"patch')
-        with pytest.raises(PatchError):
-            PatchPool.load(path)
-
-    def test_malformed_payload_raises_patch_error(self, tmp_path):
-        import json
-        path = str(tmp_path / "pool.json")
-        json.dump({"not": "a pool"}, open(path, "w"))
-        with pytest.raises(PatchError):
-            PatchPool.load(path)
-
-    def test_load_or_create_missing_file_no_toctou(self, tmp_path):
-        # the file genuinely does not exist: open-and-handle-ENOENT,
-        # not exists()-then-open
-        pool = PatchPool.load_or_create(
-            str(tmp_path / "never-written.json"), "app")
-        assert len(pool) == 0
-
-    def test_load_or_create_corrupt_file_raises(self, tmp_path):
-        path = str(tmp_path / "pool.json")
-        with open(path, "w") as fh:
-            fh.write("}{")
-        with pytest.raises(PatchError):
-            PatchPool.load_or_create(path, "app")
 
 
 class TestKeyIndex:
@@ -376,8 +281,8 @@ class TestKeyIndex:
 
 
 class TestRoundTripProperties:
-    """Hypothesis: random pools survive both persistence paths
-    exactly."""
+    """Hypothesis: random pools survive the wire form and the shared
+    store exactly."""
 
     from hypothesis import given, settings, strategies as st
 
@@ -405,16 +310,6 @@ class TestRoundTripProperties:
         return sorted(
             (p.key, p.patch_id, p.trigger_count, p.validated,
              p.created_time_ns) for p in pool.patches())
-
-    @given(specs=patch_specs)
-    @settings(max_examples=40, deadline=None)
-    def test_save_load_exact(self, specs, tmp_path_factory):
-        pool = self.build_pool(specs)
-        path = str(tmp_path_factory.mktemp("pools") / "pool.json")
-        pool.save(path)
-        loaded = PatchPool.load(path)
-        assert self.pool_fingerprint(loaded) == self.pool_fingerprint(pool)
-        assert loaded._next_id >= pool._next_id or len(pool) == 0
 
     @given(specs=patch_specs)
     @settings(max_examples=40, deadline=None)

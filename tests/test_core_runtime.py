@@ -1,5 +1,8 @@
 """FirstAidRuntime end-to-end behaviour: survival, prevention,
-persistence, nondeterministic handling, monitors."""
+nondeterministic handling, monitors, and the config surface."""
+
+import dataclasses
+import inspect
 
 import pytest
 
@@ -13,7 +16,6 @@ from repro.monitors import (
     HeapCorruptionMonitor,
     default_monitors,
 )
-from repro.util.events import EventLog
 
 OVERFLOW_SERVER = """
 int victim = 0;
@@ -86,49 +88,14 @@ def test_recovery_record_fields():
 
 
 def test_events_trace_the_lifecycle():
-    events = EventLog()
     program = compile_program(OVERFLOW_SERVER, "srv")
     runtime = FirstAidRuntime(program,
                               input_tokens=overflow_workload(1),
-                              config=small_config(), events=events)
+                              config=small_config())
     runtime.run()
     for kind in ("checkpoint", "failure.detected", "diagnosis.start",
                  "diagnosis.done", "recovery.done", "validation.done"):
-        assert events.of_kind(kind), f"missing {kind} events"
-
-
-def test_patch_pool_persistence_across_runtimes(tmp_path):
-    pool_path = str(tmp_path / "srv.patches.json")
-    program = compile_program(OVERFLOW_SERVER, "srv")
-    config = small_config(pool_path=pool_path)
-    first = FirstAidRuntime(program,
-                            input_tokens=overflow_workload(1),
-                            config=config)
-    session = first.run()
-    assert len(session.recoveries) == 1
-    assert len(first.pool) == 1
-
-    # a second process of the same program starts with the patch and
-    # never fails at all
-    second = FirstAidRuntime(program,
-                             input_tokens=overflow_workload(2),
-                             config=config)
-    session2 = second.run()
-    assert session2.reason == "halt"
-    assert session2.recoveries == []
-    assert len(second.pool) == 1
-
-
-def test_validated_flag_persisted(tmp_path):
-    pool_path = str(tmp_path / "srv.patches.json")
-    program = compile_program(OVERFLOW_SERVER, "srv")
-    runtime = FirstAidRuntime(program,
-                              input_tokens=overflow_workload(1),
-                              config=small_config(pool_path=pool_path))
-    runtime.run()
-    from repro.core.patches import PatchPool
-    loaded = PatchPool.load(pool_path)
-    assert all(p.validated for p in loaded.patches())
+        assert runtime.events.of_kind(kind), f"missing {kind} events"
 
 
 def test_budget_stops_cleanly():
@@ -218,6 +185,22 @@ def test_uir_patch_changes_semantics_documented():
     assert len(session.recoveries) == 1
     rec = session.recoveries[0]
     assert rec.diagnosis.bug_types == [BugType.UNINIT_READ]
+
+
+def test_config_surface_is_pinned():
+    """A new knob should retire an old one: adding a config field or a
+    constructor argument has to edit these lists."""
+    assert [f.name for f in dataclasses.fields(FirstAidConfig)] == [
+        "checkpoint_interval", "incremental_checkpoints", "validate",
+        "quarantine_threshold", "max_patch_memory", "store_path",
+        "store_refresh_boundaries", "process_label", "health_faults",
+        "entropy_seed", "workers", "telemetry", "max_events",
+        "supervisor", "max_rungs", "recovery_budget_ns", "max_restarts",
+        "restart_boundaries", "chaos", "worker_timeout_s", "vm_tier",
+        "search_policy", "rollout", "canary_fraction", "sampling_rate",
+    ]
+    params = inspect.signature(FirstAidRuntime.__init__).parameters
+    assert list(params) == ["self", "program", "input_tokens", "config"]
 
 
 class TestMonitors:

@@ -253,19 +253,6 @@ def test_aggregate_store_renders_the_session(bc_session):
     assert "per-patch:" in text
 
 
-def test_runtime_health_off_leaves_no_channel(tmp_path):
-    store = str(tmp_path / "store.json")
-    app = get_app("bc")
-    wl = spaced_workload(app, triggers=1, seed=42)
-    runtime = FirstAidRuntime(
-        app.program(), input_tokens=wl.tokens,
-        config=FirstAidConfig(store_path=store, health=False))
-    runtime.run()
-    runtime.close()
-    assert runtime.health is None
-    assert not (tmp_path / "store.json.health").exists()
-
-
 def test_torn_health_write_degrades_and_retries(tmp_path):
     store = str(tmp_path / "store.json")
     plan = HealthFaultPlan()

@@ -357,8 +357,7 @@ class TestRuntimeIntegration:
         program = compile_program(OVERFLOW_SERVER, "srv")
         defaults = dict(checkpoint_interval=2000, validate=True,
                         store_path=store_path, rollout=True,
-                        process_label=label,
-                        rollout_min_observe_ns=1_000_000)
+                        process_label=label)
         defaults.update(kw)
         return FirstAidRuntime(program, input_tokens=workload(1),
                                config=defaults and FirstAidConfig(
@@ -424,31 +423,6 @@ class TestRuntimeIntegration:
         rt._store_sync()
         assert all(p.key != bad.key for p in rt.pool.patches())
         rt.close()
-
-    def test_in_runtime_controller_promotes_own_patch(self, tmp_path):
-        from repro.core.runtime import FirstAidConfig, FirstAidRuntime
-        from repro.lang import compile_program
-        store_path = str(tmp_path / "srv.store.json")
-        program = compile_program(OVERFLOW_SERVER, "srv")
-        # a long benign tail after the trigger: several checkpoint
-        # boundaries pass with the patch live, so the in-process
-        # controller sees real exposure in its own beacons
-        rt = FirstAidRuntime(
-            program, input_tokens=workload(1, spacing=400),
-            config=FirstAidConfig(
-                checkpoint_interval=2000, validate=True,
-                store_path=store_path, rollout=True,
-                process_label="solo", canary_fraction=1.0,
-                rollout_min_observe_ns=1_000_000,
-                rollout_controller=True,
-                store_refresh_boundaries=1))
-        session = rt.run()
-        rt.close()
-        assert len(session.recoveries) == 1
-        state = self.srv_store(store_path).load()
-        [key] = list(state.patches)
-        assert stage_of(state.patches[key]) == FLEET_WIDE
-        assert any(e.kind == "rollout.promoted" for e in rt.events)
 
     def test_rollout_off_store_has_no_envelopes(self, tmp_path):
         store_path = str(tmp_path / "srv.store.json")
