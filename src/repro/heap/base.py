@@ -35,6 +35,12 @@ DEFAULT_LIMIT = 64 * 1024 * 1024
 _PAIR = struct.Struct("<QQ")
 _U64 = (1 << 64) - 1
 
+#: Little-endian unsigned words by width, for the multi-byte sizes
+#: LOAD/STORE allow (a 1-byte word is indexed directly).  Shared with
+#: the compiled tier's inline memory access, so both encode alike.
+UINT_STRUCTS = {2: struct.Struct("<H"), 4: struct.Struct("<I"),
+                8: struct.Struct("<Q")}
+
 
 class Memory:
     """The simulated heap segment.
@@ -114,13 +120,20 @@ class Memory:
         self._mark_dirty(off, len(data))
 
     def read_uint(self, addr: int, size: int) -> int:
+        """The little-endian word of ``size`` (1, 2, 4 or 8) bytes."""
         off = self._check(addr, size)
-        return int.from_bytes(self._buf[off:off + size], "little")
+        if size == 1:
+            return self._buf[off]
+        return UINT_STRUCTS[size].unpack_from(self._buf, off)[0]
 
     def write_uint(self, addr: int, size: int, value: int) -> None:
+        """Store ``value`` truncated to ``size`` (1, 2, 4 or 8) bytes."""
         off = self._check(addr, size)
-        self._buf[off:off + size] = (value & ((1 << (8 * size)) - 1)
-                                     ).to_bytes(size, "little")
+        if size == 1:
+            self._buf[off] = value & 0xFF
+        else:
+            UINT_STRUCTS[size].pack_into(
+                self._buf, off, value & ((1 << (8 * size)) - 1))
         self._mark_dirty(off, size)
 
     def read_pair(self, addr: int) -> Tuple[int, int]:

@@ -9,11 +9,13 @@ diagnosis probe, validation run, and chaos re-execution re-runs the
 This module removes the dispatch entirely.  Each function's bytecode is
 split into extended basic blocks, and each block entry point is
 ``exec``-compiled -- on demand, the first time execution reaches it --
-into one Python closure with every operand baked in as a constant::
+into one Python closure with every operand baked in as a constant
+(bounds checks, dirty-page marking and counters elided here)::
 
     LOAD t, base, 8, 8          _o1 = loc[2] + 8 - mbase
-    ADDI t, t, 1          ==>   _v1 = _fb(mbuf[_o1:_o1+8], "little")
-    STORE base, 8, 8, t         loc[4] = _v1
+    ADDI t, t, 1          ==>   _v1 = _ld8(mbuf, _o1)[0]
+    STORE base, 8, 8, t         _v2 = (_v1 + 1) & 0xFFFFFFFFFFFFFFFF
+                                _st8(mbuf, _o1, _v2 & 0xFFFFFFFFFFFFFFFF)
                                 ...
 
 Equivalence is the hard constraint, not the speed: the compiled tier
@@ -23,9 +25,13 @@ identical sim-time charging (batched ``pending_ns`` with flushes at
 MALLOC/FREE/OUT and run exits, inline MEMSET/MEMCPY fill costs), exact
 ``instr_count`` so ``stop_at`` checkpoint boundaries land on the same
 instruction, identical fault ``instr_id`` and call-site capture, and
-identical ``trace_accesses`` behaviour.  The generated code therefore
-performs every architectural write (superinstructions forward *values*
-through Python temps; they never elide a ``frame.locals`` store), and a
+identical ``trace_accesses`` behaviour.  The contract on frame state is
+that every architectural write is in ``frame.locals`` at every exit
+from the closure: a value may live in a Python temp or a promoted slot
+local, and a literal may be deferred, but every path that leaves the
+closure (successor, loop exit, input exhaustion, budget stop, fault
+freeze) stores it first.  Nothing reads ``frame.locals`` while a block
+runs -- only snapshots and the two run loops do, between blocks.  A
 ``stop_at`` that lands strictly inside a block falls back to the
 reference interpreter for the remainder, which steps and stops with
 per-instruction precision.
@@ -36,9 +42,10 @@ Superinstruction fusion, applied during emission:
   arithmetic) is tracked; later reads in the same block bake the
   literal into the using expression, so CONST+ADD/ADDI chains collapse
   into pre-folded Python constants;
-* **value forwarding** -- a slot whose value is re-read within the next
-  few instructions is written through a Python temp, so LOAD -> op ->
-  STORE chains never re-index ``frame.locals``;
+* **value forwarding** -- in a straight-line block, a slot whose value
+  is re-read within the next few instructions is written through a
+  Python temp, so LOAD -> op -> STORE chains never re-index
+  ``frame.locals``;
 * **compare+branch** -- a comparison immediately consumed by JZ/JNZ
   branches on the raw Python bool (the 0/1 architectural write still
   happens);
@@ -49,10 +56,20 @@ Superinstruction fusion, applied during emission:
   entry compiles into a Python ``while`` loop, so hot loop iterations
   never return to the dispatch loop at all (the per-iteration budget
   check keeps ``stop_at`` exact);
+* **slot promotion** -- a closed-loop block loads every slot it reads
+  or writes into a Python local (``s<N>``) once per call, computes on
+  those locals, and stores the slots it writes back to ``frame.locals``
+  at each exit, so loop iterations never index the frame;
 * **inline memory access** -- LOAD/STORE emit the simulated heap's
-  bounds check, byte conversion, and dirty-page marking inline,
-  delegating to :class:`~repro.heap.base.Memory` only on the faulting
-  path (which re-raises the byte-identical ``SegmentationFault``).
+  bounds check, ``struct`` decode/encode (a plain index for 1-byte
+  words; :data:`~repro.heap.base.UINT_STRUCTS` for the rest) and
+  dirty-page marking inline, delegating to
+  :class:`~repro.heap.base.Memory` only on the faulting path (which
+  re-raises the byte-identical ``SegmentationFault``).  The bound is a
+  heap length hoisted into the block and refreshed after MALLOC/FREE,
+  the only ops that can grow the heap; the heap never shrinks during a
+  run, so a stale length is only ever too small, which sends an
+  in-range access down the checked path to the same result.
 
 Compiled programs are cached process-wide keyed by *code identity*
 (:meth:`Program.code_key`), so the thousands of re-executions a single
@@ -72,7 +89,7 @@ from repro.errors import (
     ProgramError,
     SimulatedFault,
 )
-from repro.heap.base import PAGE_SIZE
+from repro.heap.base import PAGE_SIZE, UINT_STRUCTS
 from repro.heap.extension import ExtensionMode
 from repro.vm import isa
 from repro.vm.state import Frame
@@ -193,8 +210,8 @@ class FusionStats:
     (exposed for tests and the microbenchmark's report)."""
 
     __slots__ = ("const_folds", "value_forwards", "cmp_branches",
-                 "threaded_jumps", "closed_loops", "blocks",
-                 "instructions")
+                 "threaded_jumps", "closed_loops", "promoted_slots",
+                 "blocks", "instructions")
 
     def __init__(self) -> None:
         self.const_folds = 0
@@ -202,6 +219,7 @@ class FusionStats:
         self.cmp_branches = 0
         self.threaded_jumps = 0
         self.closed_loops = 0
+        self.promoted_slots = 0
         self.blocks = 0
         self.instructions = 0
 
@@ -210,11 +228,23 @@ class FusionStats:
 
 
 class _Emitter:
-    """Collects the Python source of one block closure."""
+    """Collects the Python source of one block closure.
 
-    def __init__(self, cf: "CompiledFunction", entry_pc: int):
+    ``promoted`` holds the slots a closed-loop block keeps in Python
+    locals (``s<N>``) for the whole closure, and ``spilled`` the ones it
+    writes, which every exit stores back to ``frame.locals``; both are
+    empty for a straight-line block.  ``inline_mem`` is set when the
+    block inlines LOAD/STORE against the hoisted heap length ``mlen``.
+    """
+
+    def __init__(self, cf: "CompiledFunction", entry_pc: int,
+                 promoted: Tuple[int, ...], spilled: Tuple[int, ...],
+                 inline_mem: bool):
         self.cf = cf
         self.entry_pc = entry_pc
+        self.promoted = promoted
+        self.spilled = spilled
+        self.inline_mem = inline_mem
         self.lines: List[str] = []
         self.consts: Dict[int, int] = {}    # slot -> known literal
         self.temps: Dict[int, str] = {}     # slot -> live Python temp
@@ -224,7 +254,7 @@ class _Emitter:
         self.last_flush = -1                # emission index of last flush
         self.temp_serial = 0
         self.needs: set = set()
-        self.dirty: set = set()     # slots with a deferred loc store
+        self.dirty: set = set()     # slots with a deferred store
         self.stats = cf.stats
 
     # -- operand helpers ------------------------------------------------
@@ -235,7 +265,12 @@ class _Emitter:
             return repr(self.consts[slot])
         if slot in self.temps:
             return self.temps[slot]
-        return f"loc[{slot}]"
+        return self.target(slot)
+
+    def target(self, slot: int) -> str:
+        """Where ``slot`` lives in the closure: its promoted local, or
+        its ``frame.locals`` entry."""
+        return f"s{slot}" if self.promoted else f"loc[{slot}]"
 
     def read_value(self, slot: int):
         """The known literal for ``slot``, or None."""
@@ -254,36 +289,44 @@ class _Emitter:
               literal: Optional[int] = None) -> None:
         """Architectural write of ``expr`` into ``slot``.
 
-        A value that is re-read soon lives in a Python temp, and the
-        ``frame.locals`` store is *deferred*: frame state is only
-        observable at a fault freeze, an input-exhaustion exit, or a
-        block boundary, so :meth:`flush_locals` materializes pending
-        stores exactly there, and a slot overwritten before any such
-        point never stores its intermediate value at all."""
+        A literal is *deferred*: frame state is only observable at a
+        fault freeze, an input-exhaustion exit, or a block boundary, so
+        :meth:`flush_locals` materializes pending stores exactly there,
+        and a slot overwritten before any such point never stores its
+        intermediate value at all.  In a promoted block every other
+        value goes straight to the slot's local; in a straight-line
+        block a value that is re-read soon lives in a Python temp whose
+        ``frame.locals`` store is deferred the same way."""
         self.kill(slot)
         if literal is not None:
             self.consts[slot] = literal
             self.dirty.add(slot)
             return
-        if used_soon:
+        if used_soon and not self.promoted:
             name = self.fresh_temp()
             self.emit(f"{name} = {expr}")
             self.temps[slot] = name
             self.dirty.add(slot)
             self.stats.value_forwards += 1
         else:
-            self.emit(f"loc[{slot}] = {expr}")
+            self.emit(f"{self.target(slot)} = {expr}")
 
     def flush_locals(self) -> None:
-        """Materialize deferred ``frame.locals`` stores.  Called before
-        anything that can make frame state observable: a faulting op
-        (freeze), IN (exhaustion exit), and every block exit/backedge."""
+        """Materialize deferred stores.  Called before anything that
+        can make frame state observable: a faulting op (freeze), IN
+        (exhaustion exit), and every block exit/backedge."""
         for slot in sorted(self.dirty):
             if slot in self.temps:
                 self.emit(f"loc[{slot}] = {self.temps[slot]}")
             else:
-                self.emit(f"loc[{slot}] = {self.consts[slot]!r}")
+                self.emit(f"{self.target(slot)} = {self.consts[slot]!r}")
         self.dirty.clear()
+
+    def spill_lines(self, indent: str = "") -> List[str]:
+        """Store a promoted block's written slots back to
+        ``frame.locals``; part of every path that leaves the closure
+        (after :meth:`flush_locals` on the paths that need it)."""
+        return [f"{indent}loc[{slot}] = s{slot}" for slot in self.spilled]
 
     def emit(self, line: str) -> None:
         self.lines.append(line)
@@ -292,6 +335,11 @@ class _Emitter:
         if "counters" in self.needs:
             self.emit(indent + "vm._reads += nr")
             self.emit(indent + "vm._writes += nw")
+
+    def emit_heap_refresh(self) -> None:
+        """Re-read the heap length after an op that can ``sbrk``."""
+        if self.inline_mem:
+            self.emit("mlen = len(mbuf)")
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -326,10 +374,11 @@ class _Emitter:
             self.emit(f"_pd += {mult} * instr_ns")
 
     def sync(self, indent: str = "") -> None:
-        """Write the local counters back to the machine; emitted on
-        every path that leaves the closure."""
+        """Write the local counters and promoted slots back to the
+        machine; emitted on every path that leaves the closure."""
         self.emit(indent + "vm.instr_count = _ic")
         self.emit(indent + "vm._pending = _pd")
+        self.lines.extend(self.spill_lines(indent))
 
 
 class CompiledFunction:
@@ -396,9 +445,9 @@ class CompiledFunction:
         code = self.code
         pcs, term = self.block_plan(entry_pc)
         n = len(pcs)
-        em = _Emitter(self, entry_pc)
-        em.stats.blocks += 1
-        em.stats.instructions += n
+        stats = self.stats
+        stats.blocks += 1
+        stats.instructions += n
 
         # A terminator that branches back to this block's entry turns
         # the closure into a Python loop: iterations never return to
@@ -409,10 +458,25 @@ class CompiledFunction:
             if tinstr[0] in (isa.JZ, isa.JNZ):
                 if tinstr[2] == entry_pc or term[1] + 1 == entry_pc:
                     loop_form = True
-        if loop_form:
-            em.stats.closed_loops += 1
 
         body = pcs[:-1] if term[0] == "op" else pcs
+        inline_mem = any(code[bpc][0] in (isa.LOAD, isa.STORE)
+                         for bpc in body)
+        promoted: Tuple[int, ...] = ()
+        spilled: Tuple[int, ...] = ()
+        if loop_form:
+            # A closed loop holds its slots in Python locals: nothing
+            # else touches frame.locals while it runs (its body has no
+            # CALL/RET), so only its exits need to store them back.
+            written = {_slot_written(code[bpc]) for bpc in body}
+            written.discard(None)
+            read = {slot for bpc in pcs for slot in _slots_read(code[bpc])}
+            promoted = tuple(sorted(read | written))
+            spilled = tuple(sorted(written))
+            stats.closed_loops += 1
+            stats.promoted_slots += len(promoted)
+        em = _Emitter(self, entry_pc, promoted, spilled, inline_mem)
+
         for index, bpc in enumerate(body):
             self._emit_instr(em, bpc, index, code[bpc])
 
@@ -535,9 +599,10 @@ class CompiledFunction:
             em.unflushed[pc] = 0
             size = em.read(instr[2])
             em.kill(instr[1])
-            em.emit(f"loc[{instr[1]}] = ext.malloc({size},"
+            em.emit(f"{em.target(instr[1])} = ext.malloc({size},"
                     " None if ext.mode is _OFF"
                     f" else vm.current_callsite({pc}))")
+            em.emit_heap_refresh()
             return
         if op == isa.FREE:
             em.needs.update(("fault", "ext", "clock", "costs"))
@@ -550,6 +615,7 @@ class CompiledFunction:
             em.emit(f"ext.free({em.read(instr[1])},"
                     " None if ext.mode is _OFF"
                     f" else vm.current_callsite({pc}))")
+            em.emit_heap_refresh()
             return
         if op == isa.MEMSET:
             em.needs.update(("fault", "mem", "trace", "clock", "costs",
@@ -606,6 +672,7 @@ class CompiledFunction:
             pd = f"_pd + {mult} * instr_ns" if mult > 0 else "_pd"
             em.emit(f"    vm._pending = {pd}")
             em.emit_counters("    ")
+            em.lines.extend(em.spill_lines("    "))
             em.emit("    return 3")
             em.write(instr[1], f"{t} & " + _MASK, False)
             return
@@ -638,7 +705,7 @@ class CompiledFunction:
         if op == isa.RAND:
             em.needs.add("entropy")
             em.kill(instr[1])
-            em.emit(f"loc[{instr[1]}] = ent.next_u64()")
+            em.emit(f"{em.target(instr[1])} = ent.next_u64()")
             return
         # Unknown opcode: fault exactly like the reference loop.
         em.needs.add("fault")
@@ -677,10 +744,14 @@ class CompiledFunction:
         # raises the byte-identical SegmentationFault.
         o = em.fresh_temp()
         em.emit(f"{o} = {a} - mbase")
-        em.emit(f"if {o} < 0 or {o} + {size} > len(mbuf):")
+        em.emit(f"if {o} < 0 or {o} + {size} > mlen:")
         em.emit(f"    mread({a}, {size!r})")
-        em.write(instr[1], f"_fb(mbuf[{o}:{o} + {size}], 'little')",
-                 _used_soon(self.code, pc, instr[1]))
+        if size == 1:
+            value = f"mbuf[{o}]"
+        else:
+            em.globals[f"_ld{size}"] = UINT_STRUCTS[size].unpack_from
+            value = f"_ld{size}(mbuf, {o})[0]"
+        em.write(instr[1], value, _used_soon(self.code, pc, instr[1]))
         em.emit("nr += 1")
 
     def _emit_store(self, em: _Emitter, pc: int, index: int,
@@ -696,18 +767,17 @@ class CompiledFunction:
         o = em.fresh_temp()
         em.emit(f"{o} = {a} - mbase")
         lit = em.read_value(val_slot)
-        fallback_val = repr(lit) if lit is not None else em.read(val_slot)
-        em.emit(f"if {o} < 0 or {o} + {size} > len(mbuf):")
-        em.emit(f"    mwrite({a}, {size!r}, {fallback_val})")
-        if lit is not None:
-            data = (lit & ((1 << (8 * size)) - 1)).to_bytes(size,
-                                                            "little")
-            em.emit(f"mbuf[{o}:{o} + {size}] = {data!r}")
+        value = repr(lit) if lit is not None else em.read(val_slot)
+        em.emit(f"if {o} < 0 or {o} + {size} > mlen:")
+        em.emit(f"    mwrite({a}, {size!r}, {value})")
+        mask = (1 << (8 * size)) - 1
+        word = (repr(lit & mask) if lit is not None
+                else f"{value} & {mask:#x}")
+        if size == 1:
+            em.emit(f"mbuf[{o}] = {word}")
         else:
-            mask = (1 << (8 * size)) - 1
-            em.emit(f"mbuf[{o}:{o} + {size}] = "
-                    f"({em.read(val_slot)} & {mask!r})"
-                    f".to_bytes({size}, 'little')")
+            em.globals[f"_st{size}"] = UINT_STRUCTS[size].pack_into
+            em.emit(f"_st{size}(mbuf, {o}, {word})")
         # Memory._mark_dirty inlined (spans at most two pages for the
         # word sizes the ISA allows).
         p0 = em.fresh_temp()
@@ -834,8 +904,9 @@ class CompiledFunction:
         whose dst feeds this branch, return a truthy expression for
         "the comparison held" so the branch skips re-reading the 0/1
         from ``frame.locals`` (compare+branch superinstruction).  Only
-        fuses through the value-forwarding temp (or a known literal) so
-        the comparison is evaluated exactly once."""
+        fuses through the value-forwarding temp, the promoted slot
+        local (or a known literal) so the comparison is evaluated
+        exactly once."""
         if prev_pc is None:
             return None
         prev = self.code[prev_pc]
@@ -843,13 +914,15 @@ class CompiledFunction:
             return None
         if _slot_written(prev) != instr[1]:
             return None
-        fwd = em.temps.get(instr[1])
-        if fwd is None:
-            lit = em.read_value(instr[1])
-            if lit is None:
-                return None
+        lit = em.read_value(instr[1])
+        if lit is not None:
             em.stats.cmp_branches += 1
             return repr(bool(lit))
+        fwd = em.temps.get(instr[1])
+        if fwd is None:
+            if not em.promoted:
+                return None
+            fwd = em.target(instr[1])
         em.stats.cmp_branches += 1
         return fwd
 
@@ -887,12 +960,15 @@ class CompiledFunction:
             pre.append("    out = vm.output")
         if "entropy" in needs:
             pre.append("    ent = vm.entropy")
+        if em.inline_mem:
+            pre.append("    mlen = len(mbuf)")
         if "counters" in needs:
             pre.append("    nr = 0")
             pre.append("    nw = 0")
         fault = "fault" in needs
         if fault:
             pre.append("    ip = -1")
+        pre.extend(f"    s{slot} = loc[{slot}]" for slot in em.promoted)
 
         indent = "    "
         src = list(pre)
@@ -906,6 +982,7 @@ class CompiledFunction:
         if "counters" in needs:
             src.append(f"{indent}    vm._reads += nr")
             src.append(f"{indent}    vm._writes += nw")
+        src.extend(em.spill_lines(indent + "    "))
         src.append(f"{indent}    return 4")
         if fault:
             src.append(f"{indent}try:")
@@ -922,6 +999,7 @@ class CompiledFunction:
             if "counters" in needs:
                 src.append(f"{h}vm._reads += nr")
                 src.append(f"{h}vm._writes += nw")
+            src.extend(em.spill_lines(h))
             src.append(f"{h}fault.instr_id = ({self.name!r}, ip)")
             src.append(f"{h}vm.fault = fault")
             src.append(f"{h}return 2")
@@ -933,7 +1011,6 @@ class CompiledFunction:
             "_AssertFail": AssertionFailure,
             "_Frame": Frame,
             "_OFF": ExtensionMode.OFF,
-            "_fb": int.from_bytes,
             "_done": em.done,
             "_unf": em.unflushed,
         }

@@ -1,6 +1,7 @@
 """Unit tests for the simulated memory segment."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SegmentationFault
 from repro.heap.base import HEAP_BASE, PAGE_SIZE, Memory
@@ -193,3 +194,79 @@ def test_pair_outside_the_break_faults_like_two_words(offset):
     assert _fault(lambda: mem.write_pair(addr, 0x41, 0x42)) == \
         _fault(two_writes)
     assert mem.snapshot() == ref.snapshot()
+
+
+# -- word accessors against an independent encoding -------------------
+
+class _BytesOracle:
+    """``int.from_bytes``/``to_bytes`` over a plain bytearray with the
+    same mapping rule, fault message and dirty-page rule: the behaviour
+    ``read_uint``/``write_uint`` must keep, whatever they encode with."""
+
+    def __init__(self, mapped):
+        self.buf = bytearray(mapped)
+        self.dirty = set()
+
+    def _check(self, addr, size):
+        off = addr - HEAP_BASE
+        if off < 0 or off + size > len(self.buf):
+            raise SegmentationFault(
+                f"access of {size} byte(s) outside [0x{HEAP_BASE:x}, "
+                f"0x{HEAP_BASE + len(self.buf):x})", address=addr)
+        return off
+
+    def read_uint(self, addr, size):
+        off = self._check(addr, size)
+        return int.from_bytes(self.buf[off:off + size], "little")
+
+    def write_uint(self, addr, size, value):
+        off = self._check(addr, size)
+        self.buf[off:off + size] = (value % (1 << (8 * size))).to_bytes(
+            size, "little")
+        self.dirty.update(range(off // PAGE_SIZE,
+                                (off + size - 1) // PAGE_SIZE + 1))
+
+
+_PAGES = 2
+_width = st.sampled_from((1, 2, 4, 8))
+#: Anywhere in and around the mapping, plus offsets packed around each
+#: page boundary: below the base, across page 0/1, and across the
+#: mapped edge at ``_PAGES * PAGE_SIZE``.
+_offset = st.one_of(
+    st.integers(min_value=-16, max_value=_PAGES * PAGE_SIZE + 16),
+    st.builds(lambda page, delta: page * PAGE_SIZE + delta,
+              st.integers(min_value=0, max_value=_PAGES),
+              st.integers(min_value=-9, max_value=9)))
+#: Values in range, at each width's limit and above every width.
+_value = st.one_of(
+    st.integers(min_value=0, max_value=2 ** 72),
+    st.sampled_from([2 ** (8 * w) + d for w in (1, 2, 4, 8)
+                     for d in (-1, 0, 1)]))
+_access = st.tuples(st.booleans(), _width, _offset, _value)
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except SegmentationFault as fault:
+        return "fault", str(fault), fault.address
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_access, min_size=1, max_size=24))
+def test_uint_accessors_match_the_bytes_oracle(accesses):
+    mem = Memory()
+    mem.sbrk(_PAGES * PAGE_SIZE)
+    mem.clear_dirty()
+    oracle = _BytesOracle(_PAGES * PAGE_SIZE)
+    for is_write, width, offset, value in accesses:
+        addr = HEAP_BASE + offset
+        if is_write:
+            got = _outcome(lambda: mem.write_uint(addr, width, value))
+            want = _outcome(lambda: oracle.write_uint(addr, width, value))
+        else:
+            got = _outcome(lambda: mem.read_uint(addr, width))
+            want = _outcome(lambda: oracle.read_uint(addr, width))
+        assert got == want
+    assert mem.snapshot()[0] == bytes(oracle.buf)
+    assert mem.dirty_pages == frozenset(oracle.dirty)

@@ -12,17 +12,23 @@ checkpoint boundaries that land mid-block (the reference-tail path) are
 exercised continuously.
 
 Deterministic unit tests below pin the compiler's structure: block
-planning and jump threading, loop closing, fusion statistics, the
-literal-divisor fast path, the cross-machine program cache, and the
-input-rewind accounting regression.
+planning and jump threading, loop closing and slot promotion, fusion
+statistics, the literal-divisor fast path, the cross-machine program
+cache, the input-rewind accounting regression, every exit of a promoted
+loop, and the shape of the seven apps' compiled sources.
 """
 
+import re
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.registry import real_bug_apps
 from repro.heap.allocator import LeaAllocator
 from repro.heap.base import Memory
 from repro.heap.extension import AllocatorExtension, ExtensionMode
 from repro.vm import compile as vmc
+from repro.vm import isa
 from repro.vm.builder import ProgramBuilder
 from repro.vm.io import OutputLog, ReplayableInput
 from repro.vm.machine import Machine
@@ -96,19 +102,29 @@ _sym = st.sampled_from(("+", "-", "*", "&", "|", "^", "<<", ">>",
 #: fault (SegmentationFault identity is part of the differential).
 _off = st.integers(min_value=0, max_value=96)
 
+#: Loads and stores go through ``p`` (fixed) or ``q``, which MALLOC
+#: re-points -- at sizes that grow the heap, so accesses inside a loop
+#: reach pages mapped by that same closure -- and FREE releases (a
+#: second FREE is a double free).
+_ptr = st.sampled_from(("p", "q"))
+_alloc = st.sampled_from((8, 64, 3000, 9000))
+
 _op = st.one_of(
     st.tuples(st.just("binop"), _sym, _var, _var, _var),
     st.tuples(st.just("addi"), _var, _var,
               st.integers(min_value=-8, max_value=64)),
     st.tuples(st.just("out"), _var),
     st.tuples(st.just("in"), _var),
-    st.tuples(st.just("store"), _var, _off, _size),
-    st.tuples(st.just("load"), _var, _off, _size),
+    st.tuples(st.just("store"), _ptr, _var, _off, _size),
+    st.tuples(st.just("load"), _var, _ptr, _off, _size),
     st.tuples(st.just("call"), _var, _var),
     st.tuples(st.just("memset"), _var, _off),
     st.tuples(st.just("memcpy"), _off),
     st.tuples(st.just("gstore"), _var),
     st.tuples(st.just("gload"), _var),
+    st.tuples(st.just("malloc"), _alloc),
+    st.tuples(st.just("free"),),
+    st.tuples(st.just("rand"), _var),
 )
 
 _inits = st.tuples(*([st.integers(min_value=0, max_value=2 ** 48)]
@@ -130,9 +146,9 @@ def _emit(fb, g0, ops, tag):
         elif kind == "in":
             fb.input(op[1])
         elif kind == "store":
-            fb.store("p", op[1], op[2], op[3])
+            fb.store(op[1], op[2], op[3], op[4])
         elif kind == "load":
-            fb.load(op[1], "p", op[2], op[3])
+            fb.load(op[1], op[2], op[3], op[4])
         elif kind == "call":
             fb.call(op[1], "twice", [op[2]])
         elif kind == "memset":
@@ -146,6 +162,13 @@ def _emit(fb, g0, ops, tag):
             fb.gstore(g0, op[1])
         elif kind == "gload":
             fb.gload(op[1], g0)
+        elif kind == "malloc":
+            fb.const(f"_ms{tag}{i}", op[1])
+            fb.malloc("q", f"_ms{tag}{i}")
+        elif kind == "free":
+            fb.free("q")
+        elif kind == "rand":
+            fb.rand(op[1])
 
 
 def build_random_program(inits, pre_ops, loop_ops, n_loop):
@@ -160,6 +183,7 @@ def build_random_program(inits, pre_ops, loop_ops, n_loop):
         fb.const(name, value)
     fb.const("sz", 64)
     fb.malloc("p", "sz")
+    fb.malloc("q", "sz")
     _emit(fb, g0, pre_ops, "p")
     fb.const("i", 0)
     fb.const("n", n_loop)
@@ -233,6 +257,7 @@ def test_loop_is_jump_threaded_and_closed():
     assert stats["closed_loops"] >= 1
     assert stats["cmp_branches"] >= 1
     assert stats["const_folds"] >= 1
+    assert stats["promoted_slots"] >= 1
     cf = unit.functions["main"]
     loop_sources = [src for src in cf.sources.values()
                     if "while True:" in src]
@@ -249,7 +274,7 @@ def test_block_plan_follows_jmp_and_detects_backedge():
     # loop bottom, and terminates at the conditional branch.
     pcs, term = cf.block_plan(0)
     assert term[0] == "op"
-    assert code[term[1]][0] in (4, 5) or True  # JZ/JNZ terminator
+    assert code[term[1]][0] in (isa.JZ, isa.JNZ)
     assert len(pcs) >= 4
     # The block entered at the branch fall-through loops back to its
     # own entry (threaded through the JMP): loop form.
@@ -361,3 +386,122 @@ def test_fault_freeze_is_identical_mid_loop():
                                   "HeapCorruptionFault")
     run_differential(program, trace=True)
     run_differential(program, chunks=5)
+
+
+# ---------------------------------------------------------------------------
+# promoted-loop exits and the compiled sources' shape
+# ---------------------------------------------------------------------------
+
+
+def promoted_exit_program(n=6):
+    """A closed loop that writes six slots per iteration (t, v, acc,
+    a, q, i) through IN, a STORE, a heap-growing MALLOC and a STORE into
+    the pages that MALLOC just mapped.  A token of 2**40 sends the
+    first STORE past the mapping (a SegmentationFault after in-loop
+    writes); fewer than ``n`` tokens exhaust the input mid-loop."""
+    pb = ProgramBuilder()
+    fb = pb.function("main")
+    fb.const("sz", 64)
+    fb.malloc("p", "sz")
+    fb.const("big", 5000)
+    fb.const("i", 0)
+    fb.const("n", n)
+    fb.const("acc", 0)
+    fb.label("top")
+    fb.binop("<", "t", "i", "n")
+    fb.jz("t", "done")
+    fb.input("v")
+    fb.binop("+", "acc", "acc", "v")
+    fb.binop("+", "a", "p", "v")
+    fb.store("a", "acc", 0, 8)
+    fb.malloc("q", "big")
+    fb.store("q", "v", 4992, 8)
+    fb.addi("i", "i", 1)
+    fb.jmp("top")
+    fb.label("done")
+    fb.output("acc")
+    fb.halt()
+    pb.add(fb)
+    return pb.build()
+
+
+_LOOP_TOKENS = {
+    "halt": (1, 2, 3, 4, 5, 6),
+    "input": (1, 2, 3),
+    "fault": (1, 2, 3, 2 ** 40, 5, 6),
+}
+
+_SPILL = re.compile(r"loc\[(\d+)\] = s\1")
+
+
+@pytest.mark.parametrize("reason", sorted(_LOOP_TOKENS))
+def test_promoted_loop_exits_match_reference(reason):
+    """Every exit of a promoted loop -- branch exit, input exhaustion,
+    fault freeze and, through every chunk size up to three bodies, the
+    budget stop -- leaves the frame, heap and counters of the
+    reference, with tracing on and off."""
+    vmc.clear_cache()
+    program = promoted_exit_program()
+    tokens = _LOOP_TOKENS[reason]
+    m = machine_for(program, tokens, tier=vmc.TIER_COMPILED)
+    assert m.run().reason.value == reason
+    cf = vmc.compiled_for(program).functions["main"]
+    (entry, src), = [(pc, src) for pc, src in cf.sources.items()
+                     if "while True:" in src]
+    for piece in ("inp.next()", "ext.malloc(", "_st8("):
+        assert piece in src
+    # The heap length is read in the prologue and again after MALLOC.
+    assert src.count("mlen = len(mbuf)") == 2
+    assert len(set(_SPILL.findall(src))) >= 3
+    body = len(cf.block_plan(entry)[0])
+    for trace in (False, True):
+        whole, reasons = run_differential(program, tokens, trace=trace)
+        assert reasons[-1].value == reason
+        for chunks in range(1, 3 * body + 1):
+            chunked, reasons = run_differential(program, tokens,
+                                                trace=trace,
+                                                chunks=chunks)
+            assert reasons[-1].value == reason
+            assert chunked == whole
+
+
+def _compile_every_entry(program):
+    """A fresh, uncached compilation of every block a run can enter:
+    function entries, branch targets and fall-throughs, CALL return
+    points and JMP targets."""
+    unit = vmc.CompiledProgram(program)
+    for cf in unit.functions.values():
+        entries = {0}
+        for pc, instr in enumerate(cf.code):
+            if instr[0] in (isa.JZ, isa.JNZ):
+                entries.update((instr[2], pc + 1))
+            elif instr[0] == isa.CALL:
+                entries.add(pc + 1)
+            elif instr[0] == isa.JMP:
+                entries.add(instr[1])
+        for pc in sorted(entries):
+            cf.block(pc)
+    return unit
+
+
+@pytest.mark.parametrize("app", real_bug_apps(), ids=lambda a: a.name)
+def test_app_sources_use_struct_access_and_promoted_loops(app):
+    unit = _compile_every_entry(app.program())
+    loops = 0
+    for cf in unit.functions.values():
+        for src in cf.sources.values():
+            assert "from_bytes" not in src and "to_bytes" not in src
+            lines = [line.strip() for line in src.splitlines()]
+            # The heap length is read in the prologue and after each
+            # MALLOC/FREE, never per access.
+            assert all(line == "mlen = len(mbuf)" for line in lines
+                       if "len(mbuf)" in line)
+            if "while True:" not in lines:
+                continue
+            loops += 1
+            # Inside the loop, frame.locals is only stored to, and
+            # only by the exits' spills of promoted slots.
+            for line in lines[lines.index("while True:") + 1:]:
+                assert "loc[" not in line or _SPILL.fullmatch(line), line
+    assert loops >= 1
+    assert unit.stats.promoted_slots >= loops
