@@ -18,8 +18,8 @@ a recovery performs cheap.  Three claims, measured here:
    recovery/validation sim time): the compiled tier changes how fast
    the host executes, never what the simulation observes.
 
-Also reported: fusion statistics (constant folds, value forwards,
-compare+branch fusions, threaded jumps, closed loops) and the
+Also reported: fusion statistics (constant folds, compare+branch
+fusions, threaded jumps, closed loops, promoted slots) and the
 program-cache hit behaviour across Machine instances.
 
 Runnable as a script::

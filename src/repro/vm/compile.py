@@ -12,10 +12,10 @@ split into extended basic blocks, and each block entry point is
 into one Python closure with every operand baked in as a constant
 (bounds checks, dirty-page marking and counters elided here)::
 
-    LOAD t, base, 8, 8          _o1 = loc[2] + 8 - mbase
-    ADDI t, t, 1          ==>   _v1 = _ld8(mbuf, _o1)[0]
-    STORE base, 8, 8, t         _v2 = (_v1 + 1) & 0xFFFFFFFFFFFFFFFF
-                                _st8(mbuf, _o1, _v2 & 0xFFFFFFFFFFFFFFFF)
+    LOAD t, base, 8, 8          _o1 = s1 + 8 - mbase
+    ADDI t, t, 1          ==>   s0 = _ld8(mbuf, _o1)[0]
+    STORE base, 8, 8, t         s0 = (s0 + 1) & 0xFFFFFFFFFFFFFFFF
+                                _st8(mbuf, _o1, s0 & 0xFFFFFFFFFFFFFFFF)
                                 ...
 
 Equivalence is the hard constraint, not the speed: the compiled tier
@@ -27,11 +27,11 @@ MALLOC/FREE/OUT and run exits, inline MEMSET/MEMCPY fill costs), exact
 instruction, identical fault ``instr_id`` and call-site capture, and
 identical ``trace_accesses`` behaviour.  The contract on frame state is
 that every architectural write is in ``frame.locals`` at every exit
-from the closure: a value may live in a Python temp or a promoted slot
-local, and a literal may be deferred, but every path that leaves the
-closure (successor, loop exit, input exhaustion, budget stop, fault
-freeze) stores it first.  Nothing reads ``frame.locals`` while a block
-runs -- only snapshots and the two run loops do, between blocks.  A
+from the closure: a value lives in its slot's Python local and a
+literal may be deferred, but every path that leaves the closure
+(successor, loop exit, input exhaustion, budget stop, fault freeze)
+stores it first.  Nothing reads ``frame.locals`` while a block runs --
+only snapshots and the two run loops do, between blocks.  A
 ``stop_at`` that lands strictly inside a block falls back to the
 reference interpreter for the remainder, which steps and stops with
 per-instruction precision.
@@ -42,10 +42,6 @@ Superinstruction fusion, applied during emission:
   arithmetic) is tracked; later reads in the same block bake the
   literal into the using expression, so CONST+ADD/ADDI chains collapse
   into pre-folded Python constants;
-* **value forwarding** -- in a straight-line block, a slot whose value
-  is re-read within the next few instructions is written through a
-  Python temp, so LOAD -> op -> STORE chains never re-index
-  ``frame.locals``;
 * **compare+branch** -- a comparison immediately consumed by JZ/JNZ
   branches on the raw Python bool (the 0/1 architectural write still
   happens);
@@ -56,20 +52,19 @@ Superinstruction fusion, applied during emission:
   entry compiles into a Python ``while`` loop, so hot loop iterations
   never return to the dispatch loop at all (the per-iteration budget
   check keeps ``stop_at`` exact);
-* **slot promotion** -- a closed-loop block loads every slot it reads
-  or writes into a Python local (``s<N>``) once per call, computes on
-  those locals, and stores the slots it writes back to ``frame.locals``
-  at each exit, so loop iterations never index the frame;
+* **slot promotion** -- every block holds each slot it reads or
+  writes in a Python local (``s<N>``), computes on those locals, and
+  stores the slots it writes back to ``frame.locals`` at each exit.
+  The prologue loads only the slots used before the block assigns
+  them; a closed loop, whose budget stop atop every iteration stores
+  them back, loads all of them once per call, so its iterations never
+  index the frame;
 * **inline memory access** -- LOAD/STORE emit the simulated heap's
   bounds check, ``struct`` decode/encode (a plain index for 1-byte
   words; :data:`~repro.heap.base.UINT_STRUCTS` for the rest) and
   dirty-page marking inline, delegating to
   :class:`~repro.heap.base.Memory` only on the faulting path (which
-  re-raises the byte-identical ``SegmentationFault``).  The bound is a
-  heap length hoisted into the block and refreshed after MALLOC/FREE,
-  the only ops that can grow the heap; the heap never shrinks during a
-  run, so a stale length is only ever too small, which sends an
-  in-range access down the checked path to the same result.
+  re-raises the byte-identical ``SegmentationFault``).
 
 Compiled programs are cached process-wide keyed by *code identity*
 (:meth:`Program.code_key`), so the thousands of re-executions a single
@@ -179,43 +174,16 @@ def _slot_written(instr) -> Optional[int]:
     return instr[1] if instr[0] in _WRITES_DST else None
 
 
-def _used_soon(code, pc: int, slot: int, horizon: int = 8) -> bool:
-    """True when ``slot`` is read again within ``horizon`` instructions
-    before being overwritten (drives value forwarding).  Follows
-    unconditional JMPs -- mirroring jump threading, which emits the
-    successors into the same block -- and stops conservatively at
-    conditional branches."""
-    j = pc + 1
-    seen = set()
-    steps = 0
-    while steps < horizon and 0 <= j < len(code) and j not in seen:
-        instr = code[j]
-        if instr[0] == isa.JMP:
-            seen.add(j)
-            j = instr[1]
-            continue
-        if slot in _slots_read(instr):
-            return True
-        if _slot_written(instr) == slot:
-            return False
-        if instr[0] in _BRANCHING:
-            return False
-        j += 1
-        steps += 1
-    return False
-
-
 class FusionStats:
     """Counts of superinstruction rewrites applied during compilation
     (exposed for tests and the microbenchmark's report)."""
 
-    __slots__ = ("const_folds", "value_forwards", "cmp_branches",
-                 "threaded_jumps", "closed_loops", "promoted_slots",
-                 "blocks", "instructions")
+    __slots__ = ("const_folds", "cmp_branches", "threaded_jumps",
+                 "closed_loops", "promoted_slots", "blocks",
+                 "instructions")
 
     def __init__(self) -> None:
         self.const_folds = 0
-        self.value_forwards = 0
         self.cmp_branches = 0
         self.threaded_jumps = 0
         self.closed_loops = 0
@@ -230,31 +198,29 @@ class FusionStats:
 class _Emitter:
     """Collects the Python source of one block closure.
 
-    ``promoted`` holds the slots a closed-loop block keeps in Python
-    locals (``s<N>``) for the whole closure, and ``spilled`` the ones it
-    writes, which every exit stores back to ``frame.locals``; both are
-    empty for a straight-line block.  ``inline_mem`` is set when the
-    block inlines LOAD/STORE against the hoisted heap length ``mlen``.
+    Every slot the block touches lives in a Python local ``s<N>`` for
+    the whole closure.  ``spilled`` holds the slots it writes, which
+    every exit stores back to ``frame.locals``; ``loaded`` the slots
+    the prologue must read from ``frame.locals``: those read, or
+    stored back by an exit, before the block assigns them (``bound``).
     """
 
     def __init__(self, cf: "CompiledFunction", entry_pc: int,
-                 promoted: Tuple[int, ...], spilled: Tuple[int, ...],
-                 inline_mem: bool):
+                 spilled: Tuple[int, ...]):
         self.cf = cf
         self.entry_pc = entry_pc
-        self.promoted = promoted
         self.spilled = spilled
-        self.inline_mem = inline_mem
+        self.loaded: set = set()
+        self.bound: set = set()
         self.lines: List[str] = []
         self.consts: Dict[int, int] = {}    # slot -> known literal
-        self.temps: Dict[int, str] = {}     # slot -> live Python temp
         self.globals: Dict[str, object] = {}
         self.done: Dict[int, int] = {}      # ip -> instrs incl. faulter
         self.unflushed: Dict[int, int] = {} # ip -> unflushed instrs
         self.last_flush = -1                # emission index of last flush
         self.temp_serial = 0
         self.needs: set = set()
-        self.dirty: set = set()     # slots with a deferred store
+        self.dirty: set = set()     # slots with a deferred literal
         self.stats = cf.stats
 
     # -- operand helpers ------------------------------------------------
@@ -263,14 +229,9 @@ class _Emitter:
         if slot in self.consts:
             self.stats.const_folds += 1
             return repr(self.consts[slot])
-        if slot in self.temps:
-            return self.temps[slot]
-        return self.target(slot)
-
-    def target(self, slot: int) -> str:
-        """Where ``slot`` lives in the closure: its promoted local, or
-        its ``frame.locals`` entry."""
-        return f"s{slot}" if self.promoted else f"loc[{slot}]"
+        if slot not in self.bound:
+            self.loaded.add(slot)
+        return f"s{slot}"
 
     def read_value(self, slot: int):
         """The known literal for ``slot``, or None."""
@@ -278,54 +239,48 @@ class _Emitter:
 
     def kill(self, slot: int) -> None:
         self.consts.pop(slot, None)
-        self.temps.pop(slot, None)
         self.dirty.discard(slot)
 
     def fresh_temp(self) -> str:
         self.temp_serial += 1
         return f"_v{self.temp_serial}"
 
-    def write(self, slot: int, expr: str, used_soon: bool,
+    def write(self, slot: int, expr: str,
               literal: Optional[int] = None) -> None:
-        """Architectural write of ``expr`` into ``slot``.
+        """Architectural write of ``expr`` into ``slot``'s local.
 
-        A literal is *deferred*: frame state is only observable at a
-        fault freeze, an input-exhaustion exit, or a block boundary, so
-        :meth:`flush_locals` materializes pending stores exactly there,
-        and a slot overwritten before any such point never stores its
-        intermediate value at all.  In a promoted block every other
-        value goes straight to the slot's local; in a straight-line
-        block a value that is re-read soon lives in a Python temp whose
-        ``frame.locals`` store is deferred the same way."""
+        A literal is *deferred*: the local only has to hold it where
+        frame state becomes observable -- a fault freeze, an
+        input-exhaustion exit, or a block exit -- so
+        :meth:`flush_locals` materializes pending literals exactly
+        there, and a slot overwritten before any such point never
+        stores its intermediate value at all."""
         self.kill(slot)
         if literal is not None:
             self.consts[slot] = literal
             self.dirty.add(slot)
             return
-        if used_soon and not self.promoted:
-            name = self.fresh_temp()
-            self.emit(f"{name} = {expr}")
-            self.temps[slot] = name
-            self.dirty.add(slot)
-            self.stats.value_forwards += 1
-        else:
-            self.emit(f"{self.target(slot)} = {expr}")
+        self.emit(f"s{slot} = {expr}")
+        self.bound.add(slot)
 
     def flush_locals(self) -> None:
-        """Materialize deferred stores.  Called before anything that
+        """Materialize deferred literals.  Called before anything that
         can make frame state observable: a faulting op (freeze), IN
         (exhaustion exit), and every block exit/backedge."""
         for slot in sorted(self.dirty):
-            if slot in self.temps:
-                self.emit(f"loc[{slot}] = {self.temps[slot]}")
-            else:
-                self.emit(f"{self.target(slot)} = {self.consts[slot]!r}")
+            self.emit(f"s{slot} = {self.consts[slot]!r}")
+        self.bound |= self.dirty
         self.dirty.clear()
 
+    def expose(self) -> None:
+        """An exit that stores the written slots back may leave from
+        here: the ones not yet assigned must hold their entry value."""
+        self.loaded.update(s for s in self.spilled if s not in self.bound)
+
     def spill_lines(self, indent: str = "") -> List[str]:
-        """Store a promoted block's written slots back to
-        ``frame.locals``; part of every path that leaves the closure
-        (after :meth:`flush_locals` on the paths that need it)."""
+        """Store the block's written slots back to ``frame.locals``;
+        part of every path that leaves the closure after the block has
+        written (after :meth:`flush_locals` and :meth:`expose`)."""
         return [f"{indent}loc[{slot}] = s{slot}" for slot in self.spilled]
 
     def emit(self, line: str) -> None:
@@ -336,11 +291,6 @@ class _Emitter:
             self.emit(indent + "vm._reads += nr")
             self.emit(indent + "vm._writes += nw")
 
-    def emit_heap_refresh(self) -> None:
-        """Re-read the heap length after an op that can ``sbrk``."""
-        if self.inline_mem:
-            self.emit("mlen = len(mbuf)")
-
     # -- bookkeeping -----------------------------------------------------
 
     def breadcrumb(self, pc: int, index: int) -> None:
@@ -348,6 +298,7 @@ class _Emitter:
         except handler keys on.  Deferred local stores flush here: a
         fault freeze makes the frame observable."""
         self.flush_locals()
+        self.expose()
         self.emit(f"ip = {pc}")
         self.done[pc] = index + 1
         self.unflushed[pc] = index - self.last_flush
@@ -376,6 +327,7 @@ class _Emitter:
     def sync(self, indent: str = "") -> None:
         """Write the local counters and promoted slots back to the
         machine; emitted on every path that leaves the closure."""
+        self.expose()
         self.emit(indent + "vm.instr_count = _ic")
         self.emit(indent + "vm._pending = _pd")
         self.lines.extend(self.spill_lines(indent))
@@ -460,22 +412,19 @@ class CompiledFunction:
                     loop_form = True
 
         body = pcs[:-1] if term[0] == "op" else pcs
-        inline_mem = any(code[bpc][0] in (isa.LOAD, isa.STORE)
-                         for bpc in body)
-        promoted: Tuple[int, ...] = ()
-        spilled: Tuple[int, ...] = ()
+        # The block holds its slots in Python locals: nothing else
+        # touches frame.locals while it runs (CALL/RET only end a
+        # block), so only its exits need to store them back.
+        written = {_slot_written(code[bpc]) for bpc in body}
+        written.discard(None)
+        read = {slot for bpc in pcs for slot in _slots_read(code[bpc])}
+        stats.promoted_slots += len(read | written)
+        em = _Emitter(self, entry_pc, tuple(sorted(written)))
         if loop_form:
-            # A closed loop holds its slots in Python locals: nothing
-            # else touches frame.locals while it runs (its body has no
-            # CALL/RET), so only its exits need to store them back.
-            written = {_slot_written(code[bpc]) for bpc in body}
-            written.discard(None)
-            read = {slot for bpc in pcs for slot in _slots_read(code[bpc])}
-            promoted = tuple(sorted(read | written))
-            spilled = tuple(sorted(written))
+            # The budget stop atop every iteration stores the written
+            # slots back, so a closed loop loads all of them up front.
             stats.closed_loops += 1
-            stats.promoted_slots += len(promoted)
-        em = _Emitter(self, entry_pc, promoted, spilled, inline_mem)
+            em.loaded |= read | written
 
         for index, bpc in enumerate(body):
             self._emit_instr(em, bpc, index, code[bpc])
@@ -509,53 +458,47 @@ class CompiledFunction:
             em.stats.threaded_jumps += 1
             return
         if op == isa.CONST:
-            em.write(instr[1], "", False,
+            em.write(instr[1], "",
                      literal=instr[2] & 0xFFFFFFFFFFFFFFFF)
             return
         if op == isa.MOV:
             src = instr[2]
             lit = em.read_value(src)
             if lit is not None:
-                em.write(instr[1], "", False, literal=lit)
+                em.write(instr[1], "", literal=lit)
             else:
-                em.write(instr[1], em.read(src),
-                         _used_soon(self.code, pc, instr[1]))
+                em.write(instr[1], em.read(src))
             return
         if op in _ARITH:
             a, b = em.read_value(instr[2]), em.read_value(instr[3])
             if a is not None and b is not None:
-                em.write(instr[1], "", False, literal=_FOLD[op](a, b))
+                em.write(instr[1], "", literal=_FOLD[op](a, b))
             else:
                 expr = _ARITH[op].format(a=em.read(instr[2]),
                                          b=em.read(instr[3]))
-                em.write(instr[1], expr,
-                         _used_soon(self.code, pc, instr[1]))
+                em.write(instr[1], expr)
             return
         if op == isa.ADDI:
             a = em.read_value(instr[2])
             if a is not None:
-                em.write(instr[1], "", False,
+                em.write(instr[1], "",
                          literal=(a + instr[3]) & 0xFFFFFFFFFFFFFFFF)
             else:
                 em.write(instr[1],
                          f"({em.read(instr[2])} + {instr[3]!r}) & "
-                         + _MASK,
-                         _used_soon(self.code, pc, instr[1]))
+                         + _MASK)
             return
         if op in _CMP_EXPR:
             sym = _CMP_EXPR[op]
             em.write(instr[1],
                      f"1 if {em.read(instr[2])} {sym} "
-                     f"{em.read(instr[3])} else 0",
-                     _used_soon(self.code, pc, instr[1]))
+                     f"{em.read(instr[3])} else 0")
             return
         if op == isa.NOT:
-            em.write(instr[1], f"1 if {em.read(instr[2])} == 0 else 0",
-                     _used_soon(self.code, pc, instr[1]))
+            em.write(instr[1], f"1 if {em.read(instr[2])} == 0 else 0")
             return
         if op == isa.NEG:
-            em.write(instr[1], f"(-{em.read(instr[2])}) & " + _MASK,
-                     _used_soon(self.code, pc, instr[1]))
+            em.write(instr[1], f"(-{em.read(instr[2])}) & " + _MASK)
             return
         if op in (isa.DIV, isa.MOD):
             sym = "//" if op == isa.DIV else "%"
@@ -565,12 +508,11 @@ class CompiledFunction:
                 # fault, so no breadcrumb, no zero test, no flush.
                 a = em.read_value(instr[2])
                 if a is not None:
-                    em.write(instr[1], "", False,
+                    em.write(instr[1], "",
                              literal=a // b if op == isa.DIV else a % b)
                 else:
                     em.write(instr[1],
-                             f"{em.read(instr[2])} {sym} {b!r}",
-                             _used_soon(self.code, pc, instr[1]))
+                             f"{em.read(instr[2])} {sym} {b!r}")
                 return
             em.needs.add("fault")
             em.breadcrumb(pc, index)
@@ -580,8 +522,7 @@ class CompiledFunction:
             msg = ("division by zero" if op == isa.DIV
                    else "modulo by zero")
             em.emit(f"    raise _DivZero({msg!r})")
-            em.write(instr[1], f"{em.read(instr[2])} {sym} {d}",
-                     _used_soon(self.code, pc, instr[1]))
+            em.write(instr[1], f"{em.read(instr[2])} {sym} {d}")
             return
         if op == isa.LOAD:
             self._emit_load(em, pc, index, instr)
@@ -597,12 +538,9 @@ class CompiledFunction:
             em.emit("_pd = 0")
             em.mark_flushed(index)
             em.unflushed[pc] = 0
-            size = em.read(instr[2])
-            em.kill(instr[1])
-            em.emit(f"{em.target(instr[1])} = ext.malloc({size},"
-                    " None if ext.mode is _OFF"
-                    f" else vm.current_callsite({pc}))")
-            em.emit_heap_refresh()
+            em.write(instr[1], f"ext.malloc({em.read(instr[2])},"
+                     " None if ext.mode is _OFF"
+                     f" else vm.current_callsite({pc}))")
             return
         if op == isa.FREE:
             em.needs.update(("fault", "ext", "clock", "costs"))
@@ -615,7 +553,6 @@ class CompiledFunction:
             em.emit(f"ext.free({em.read(instr[1])},"
                     " None if ext.mode is _OFF"
                     f" else vm.current_callsite({pc}))")
-            em.emit_heap_refresh()
             return
         if op == isa.MEMSET:
             em.needs.update(("fault", "mem", "trace", "clock", "costs",
@@ -660,6 +597,7 @@ class CompiledFunction:
         if op == isa.IN:
             em.needs.add("input")
             em.flush_locals()  # exhaustion exit exposes the frame
+            em.expose()
             t = em.fresh_temp()
             em.emit(f"{t} = inp.next()")
             em.emit(f"if {t} is None:")
@@ -674,7 +612,7 @@ class CompiledFunction:
             em.emit_counters("    ")
             em.lines.extend(em.spill_lines("    "))
             em.emit("    return 3")
-            em.write(instr[1], f"{t} & " + _MASK, False)
+            em.write(instr[1], f"{t} & " + _MASK)
             return
         if op == isa.OUT:
             em.needs.update(("clock", "output"))
@@ -695,8 +633,7 @@ class CompiledFunction:
             return
         if op == isa.GLOAD:
             em.needs.add("globals")
-            em.write(instr[1], f"glb[{instr[2]}]",
-                     _used_soon(self.code, pc, instr[1]))
+            em.write(instr[1], f"glb[{instr[2]}]")
             return
         if op == isa.GSTORE:
             em.needs.add("globals")
@@ -704,8 +641,7 @@ class CompiledFunction:
             return
         if op == isa.RAND:
             em.needs.add("entropy")
-            em.kill(instr[1])
-            em.emit(f"{em.target(instr[1])} = ent.next_u64()")
+            em.write(instr[1], "ent.next_u64()")
             return
         # Unknown opcode: fault exactly like the reference loop.
         em.needs.add("fault")
@@ -744,14 +680,14 @@ class CompiledFunction:
         # raises the byte-identical SegmentationFault.
         o = em.fresh_temp()
         em.emit(f"{o} = {a} - mbase")
-        em.emit(f"if {o} < 0 or {o} + {size} > mlen:")
+        em.emit(f"if {o} < 0 or {o} + {size} > len(mbuf):")
         em.emit(f"    mread({a}, {size!r})")
         if size == 1:
             value = f"mbuf[{o}]"
         else:
             em.globals[f"_ld{size}"] = UINT_STRUCTS[size].unpack_from
             value = f"_ld{size}(mbuf, {o})[0]"
-        em.write(instr[1], value, _used_soon(self.code, pc, instr[1]))
+        em.write(instr[1], value)
         em.emit("nr += 1")
 
     def _emit_store(self, em: _Emitter, pc: int, index: int,
@@ -768,7 +704,7 @@ class CompiledFunction:
         em.emit(f"{o} = {a} - mbase")
         lit = em.read_value(val_slot)
         value = repr(lit) if lit is not None else em.read(val_slot)
-        em.emit(f"if {o} < 0 or {o} + {size} > mlen:")
+        em.emit(f"if {o} < 0 or {o} + {size} > len(mbuf):")
         em.emit(f"    mwrite({a}, {size!r}, {value})")
         mask = (1 << (8 * size)) - 1
         word = (repr(lit & mask) if lit is not None
@@ -902,11 +838,9 @@ class CompiledFunction:
                          prev_pc: Optional[int]) -> Optional[str]:
         """When the emission-order predecessor is a comparison (or NOT)
         whose dst feeds this branch, return a truthy expression for
-        "the comparison held" so the branch skips re-reading the 0/1
-        from ``frame.locals`` (compare+branch superinstruction).  Only
-        fuses through the value-forwarding temp, the promoted slot
-        local (or a known literal) so the comparison is evaluated
-        exactly once."""
+        "the comparison held" -- the slot's 0/1 local, or a known
+        literal -- so the branch tests it directly (compare+branch
+        superinstruction)."""
         if prev_pc is None:
             return None
         prev = self.code[prev_pc]
@@ -914,17 +848,9 @@ class CompiledFunction:
             return None
         if _slot_written(prev) != instr[1]:
             return None
-        lit = em.read_value(instr[1])
-        if lit is not None:
-            em.stats.cmp_branches += 1
-            return repr(bool(lit))
-        fwd = em.temps.get(instr[1])
-        if fwd is None:
-            if not em.promoted:
-                return None
-            fwd = em.target(instr[1])
         em.stats.cmp_branches += 1
-        return fwd
+        lit = em.read_value(instr[1])
+        return f"s{instr[1]}" if lit is None else repr(bool(lit))
 
     # -- assembly ---------------------------------------------------------
 
@@ -960,15 +886,13 @@ class CompiledFunction:
             pre.append("    out = vm.output")
         if "entropy" in needs:
             pre.append("    ent = vm.entropy")
-        if em.inline_mem:
-            pre.append("    mlen = len(mbuf)")
         if "counters" in needs:
             pre.append("    nr = 0")
             pre.append("    nw = 0")
         fault = "fault" in needs
         if fault:
             pre.append("    ip = -1")
-        pre.extend(f"    s{slot} = loc[{slot}]" for slot in em.promoted)
+        pre.extend(f"    s{slot} = loc[{slot}]" for slot in sorted(em.loaded))
 
         indent = "    "
         src = list(pre)
@@ -982,7 +906,9 @@ class CompiledFunction:
         if "counters" in needs:
             src.append(f"{indent}    vm._reads += nr")
             src.append(f"{indent}    vm._writes += nw")
-        src.extend(em.spill_lines(indent + "    "))
+        if loop_form:
+            # A straight-line block stops before it writes anything.
+            src.extend(em.spill_lines(indent + "    "))
         src.append(f"{indent}    return 4")
         if fault:
             src.append(f"{indent}try:")

@@ -15,7 +15,8 @@ Deterministic unit tests below pin the compiler's structure: block
 planning and jump threading, loop closing and slot promotion, fusion
 statistics, the literal-divisor fast path, the cross-machine program
 cache, the input-rewind accounting regression, every exit of a promoted
-loop, and the shape of the seven apps' compiled sources.
+loop and of a straight-line block, and the shape of the seven apps'
+compiled sources.
 """
 
 import re
@@ -389,7 +390,7 @@ def test_fault_freeze_is_identical_mid_loop():
 
 
 # ---------------------------------------------------------------------------
-# promoted-loop exits and the compiled sources' shape
+# promoted-slot exits and the compiled sources' shape
 # ---------------------------------------------------------------------------
 
 
@@ -432,6 +433,7 @@ _LOOP_TOKENS = {
 }
 
 _SPILL = re.compile(r"loc\[(\d+)\] = s\1")
+_LOAD = re.compile(r"s(\d+) = loc\[\1\]")
 
 
 @pytest.mark.parametrize("reason", sorted(_LOOP_TOKENS))
@@ -450,14 +452,77 @@ def test_promoted_loop_exits_match_reference(reason):
                      if "while True:" in src]
     for piece in ("inp.next()", "ext.malloc(", "_st8("):
         assert piece in src
-    # The heap length is read in the prologue and again after MALLOC.
-    assert src.count("mlen = len(mbuf)") == 2
     assert len(set(_SPILL.findall(src))) >= 3
     body = len(cf.block_plan(entry)[0])
     for trace in (False, True):
         whole, reasons = run_differential(program, tokens, trace=trace)
         assert reasons[-1].value == reason
         for chunks in range(1, 3 * body + 1):
+            chunked, reasons = run_differential(program, tokens,
+                                                trace=trace,
+                                                chunks=chunks)
+            assert reasons[-1].value == reason
+            assert chunked == whole
+
+
+def straight_line_exit_program():
+    """One straight-line block, and the slots of three of its locals:
+    ``e`` is assigned before anything can leave the block, ``a`` is
+    read before it is written, and ``b`` is written after an IN that
+    can exhaust the input.  A first token of 2**40 sends the LOAD past
+    the mapping (a SegmentationFault after ``a`` and ``b`` are
+    written); one token exhausts the input at the second IN."""
+    pb = ProgramBuilder()
+    fb = pb.function("main")
+    fb.addi("e", "a", 5)
+    fb.const("sz", 64)
+    fb.malloc("p", "sz")
+    fb.input("v")
+    fb.binop("+", "a", "a", "v")
+    fb.mov("b", "v")
+    fb.binop("+", "x", "p", "v")
+    fb.load("c", "x", 0, 8)
+    fb.input("w")
+    fb.binop("+", "d", "c", "w")
+    fb.output("d")
+    fb.output("e")
+    fb.halt()
+    slots = {name: fb.local(name) for name in ("a", "b", "e")}
+    pb.add(fb)
+    return pb.build(), slots
+
+
+_LINE_TOKENS = {
+    "halt": (8, 16),
+    "input": (8,),
+    "input_first": (),
+    "fault": (2 ** 40, 16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LINE_TOKENS))
+def test_straight_line_exits_match_reference(case):
+    """A straight-line block loads a slot only when it reads it, or an
+    exit may store it back, before assigning it; every exit -- halt,
+    input exhaustion before and after its writes, fault freeze and, at
+    every chunk size, the reference tail -- matches the reference."""
+    vmc.clear_cache()
+    program, slots = straight_line_exit_program()
+    cf = vmc.compiled_for(program).functions["main"]
+    cf.block(0)
+    src = cf.sources[0]
+    assert "while True:" not in src
+    for name, loaded in (("a", True), ("b", True), ("e", False)):
+        n = slots[name]
+        assert (f"s{n} = loc[{n}]" in src) == loaded, name
+        assert f"loc[{n}] = s{n}" in src, name
+    tokens = _LINE_TOKENS[case]
+    reason = case.split("_")[0]
+    body = len(cf.block_plan(0)[0])
+    for trace in (False, True):
+        whole, reasons = run_differential(program, tokens, trace=trace)
+        assert reasons[-1].value == reason
+        for chunks in range(1, body + 2):
             chunked, reasons = run_differential(program, tokens,
                                                 trace=trace,
                                                 chunks=chunks)
@@ -485,23 +550,19 @@ def _compile_every_entry(program):
 
 
 @pytest.mark.parametrize("app", real_bug_apps(), ids=lambda a: a.name)
-def test_app_sources_use_struct_access_and_promoted_loops(app):
+def test_app_sources_use_struct_access_and_promoted_slots(app):
     unit = _compile_every_entry(app.program())
     loops = 0
     for cf in unit.functions.values():
         for src in cf.sources.values():
             assert "from_bytes" not in src and "to_bytes" not in src
             lines = [line.strip() for line in src.splitlines()]
-            # The heap length is read in the prologue and after each
-            # MALLOC/FREE, never per access.
-            assert all(line == "mlen = len(mbuf)" for line in lines
-                       if "len(mbuf)" in line)
-            if "while True:" not in lines:
-                continue
-            loops += 1
-            # Inside the loop, frame.locals is only stored to, and
-            # only by the exits' spills of promoted slots.
-            for line in lines[lines.index("while True:") + 1:]:
-                assert "loc[" not in line or _SPILL.fullmatch(line), line
+            # frame.locals is read only by the prologue's slot loads
+            # and stored to only by the exits' spills.
+            body = next(i for i, line in enumerate(lines)
+                        if line.startswith("if limit is not None"))
+            for i, line in enumerate(lines):
+                if "loc[" in line and not _SPILL.fullmatch(line):
+                    assert i < body and _LOAD.fullmatch(line), line
+            loops += "while True:" in lines
     assert loops >= 1
-    assert unit.stats.promoted_slots >= loops
