@@ -1,28 +1,27 @@
 """Search-policy benchmark: bandit-driven speculative patch search
-with static bytecode pruning (DESIGN.md §13).
+with the phase-1a determinism skip (DESIGN.md §13).
 
-The diagnostic engine's probe schedule has three policies
+The diagnostic engine's probe schedule has two policies
 (``FirstAidConfig.search_policy``):
 
 * ``fixed``   -- the seed's static schedule (baseline),
-* ``pruned``  -- static def-use/typestate pruning of probes that the
-  bytecode proves cannot change the outcome,
-* ``bandit``  -- pruning plus a deterministic UCB1 bandit that shapes
-  *speculation*: which checkpoint-walk wave sizes to dispatch and which
-  half of the call-site bisection to pre-execute on spare workers.
+* ``bandit``  -- skips the phase-1a plain probe when no RAND is
+  reachable, and shapes *speculation* with a deterministic UCB1
+  bandit: which checkpoint-walk wave sizes to dispatch and which half
+  of the call-site bisection to pre-execute on spare workers.
 
 Three claims, measured over the seven real-bug applications:
 
 1. **Identity** -- every policy, serial or forked, produces a
    byte-identical diagnosis (``SessionDigest.diagnosis_key()``:
    verdicts, bug types, checkpoints, evidence, patch points,
-   validation outcomes).  Pruning and learning change how much work
+   validation outcomes).  Skipping and learning change how much work
    the search does, never what it concludes.
 2. **Fewer re-executions** -- probes *consumed* (the serial decision
    path: every one is a rollback + re-execution) drop strictly on all
-   seven apps under ``pruned`` and ``bandit``; probes *executed*
-   (including speculation) at 2 workers drop strictly under ``bandit``
-   vs. the fixed speculative schedule.
+   seven apps under ``bandit``; probes *executed* (including
+   speculation) at 2 workers drop strictly under ``bandit`` vs. the
+   fixed speculative schedule.
 3. **Recovery time** -- the simulated recovery clock (Table 3)
    improves on at least five of the seven apps under ``bandit``
    (observed: all seven).
@@ -57,7 +56,6 @@ QUICK_APPS = ("bc", "m4", "squid")
 #: executed probes including discarded speculation.
 CONFIGS = (
     ("fixed@1", "fixed", 1),
-    ("pruned@1", "pruned", 1),
     ("bandit@1", "bandit", 1),
     ("fixed@2", "fixed", 2),
     ("bandit@2", "bandit", 2),
@@ -95,10 +93,8 @@ def gate_report(results: dict) -> dict:
     for name, per in results.items():
         keys = {d.diagnosis_key() for d in per.values()}
         identical[name] = len(keys) == 1
-        fixed_c = sum(per["fixed@1"].probes_consumed)
-        consumed_win[name] = (
-            sum(per["pruned@1"].probes_consumed) < fixed_c
-            and sum(per["bandit@1"].probes_consumed) < fixed_c)
+        consumed_win[name] = (sum(per["bandit@1"].probes_consumed)
+                              < sum(per["fixed@1"].probes_consumed))
         executed_win[name] = (sum(per["bandit@2"].probes_executed)
                               < sum(per["fixed@2"].probes_executed))
         recovery_delta_ms[name] = (
@@ -159,27 +155,27 @@ def test_recovery_time_improves(once):
 # ---------------------------------------------------------------------
 
 def _render(results: dict) -> str:
-    lines = ["app          consumed (fixed/pruned/bandit)   "
-             "executed@2w (fixed/bandit)   sim recovery ms "
-             "(fixed -> bandit)   identical"]
+    lines = [f"{'app':<12} {'consumed@1':>13}   {'executed@2':>13}   "
+             f"{'sim recovery ms':>22}   identical",
+             f"{'':<12} {'fixed bandit':>13}   {'fixed bandit':>13}   "
+             f"{'fixed -> bandit':>22}"]
     for name, per in results.items():
         same = len({d.diagnosis_key() for d in per.values()}) == 1
         lines.append(
             f"{name:<12} "
             f"{sum(per['fixed@1'].probes_consumed):>6} "
-            f"{sum(per['pruned@1'].probes_consumed):>6} "
             f"{sum(per['bandit@1'].probes_consumed):>6}"
-            f"   {sum(per['fixed@2'].probes_executed):>10} "
+            f"   {sum(per['fixed@2'].probes_executed):>6} "
             f"{sum(per['bandit@2'].probes_executed):>6}"
             f"   {sum(per['fixed@1'].recovery_time_ns) / 1e6:>10.1f} -> "
             f"{sum(per['bandit@1'].recovery_time_ns) / 1e6:>8.1f}"
-            f"      {'yes' if same else 'NO'}")
+            f"   {'yes' if same else 'NO'}")
     return "\n".join(lines)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Search-policy benchmark (pruning + bandit)")
+        description="Search-policy benchmark (fixed vs bandit)")
     parser.add_argument("--quick", action="store_true",
                         help="gate-only mode on a 3-app subset (CI); "
                         "omit for the full benchmark")
@@ -219,7 +215,6 @@ def main(argv=None) -> int:
                     "probes_executed": sum(d.probes_executed),
                     "probes_consumed": sum(d.probes_consumed),
                     "probes_pruned": sum(d.probes_pruned),
-                    "arms_pruned": sum(d.arms_pruned),
                     "simulated_recovery_ms":
                         sum(d.recovery_time_ns) / 1e6,
                     "simulated_validation_ms":

@@ -209,15 +209,14 @@ class SessionDigest:
     wall_s: float = 0.0
     worker_failures: int = 0
     # -- search policy (repro.search).  Probe counts are excluded from
-    #    both keys: the whole point of pruned/bandit search is doing
-    #    less work for the same diagnosis. --
+    #    both keys: the whole point of bandit search is doing less work
+    #    for the same diagnosis. --
     search_policy: str = "fixed"
     checkpoints: Tuple[Optional[int], ...] = ()
     evidence: Tuple[Tuple[str, ...], ...] = ()
     probes_executed: Tuple[int, ...] = ()
     probes_consumed: Tuple[int, ...] = ()
     probes_pruned: Tuple[int, ...] = ()
-    arms_pruned: Tuple[int, ...] = ()
 
     def equivalence_key(self) -> Tuple:
         return (self.app, self.reason, self.recoveries, self.succeeded,
@@ -227,7 +226,7 @@ class SessionDigest:
 
     def diagnosis_key(self) -> Tuple:
         """The diagnosis content that must be byte-identical across
-        *search policies* (fixed/pruned/bandit): verdicts, bug types,
+        *search policies* (fixed/bandit): verdicts, bug types,
         chosen checkpoints, full evidence (sites and details), patch
         points, validation outcomes.  Excludes rollback/probe counts
         and the report text (which narrates the probes themselves)."""
@@ -312,8 +311,6 @@ def run_app_session(app_name: str, triggers: int = 2,
                               for r in recs),
         probes_pruned=tuple(_search_stat(r.diagnosis, "probes_pruned")
                             for r in recs),
-        arms_pruned=tuple(_search_stat(r.diagnosis, "arms_pruned")
-                          for r in recs),
         recovery_time_ns=tuple(r.recovery_time_ns for r in recs),
         validation_time_ns=tuple(
             r.validation.time_ns if r.validation else 0 for r in recs),

@@ -71,7 +71,7 @@ from repro.vm.machine import RunResult
 
 
 #: gauge encoding for the ``diagnosis.search_policy`` metric
-_POLICY_CODES = {"fixed": 0, "pruned": 1, "bandit": 2}
+_POLICY_CODES = {"fixed": 0, "bandit": 2}
 
 
 class Verdict(Enum):
@@ -103,8 +103,8 @@ class Diagnosis:
     failure: Optional[FailureEvent] = None
     #: search-policy accounting for this diagnosis (DESIGN.md §13):
     #: policy name, probes executed (incl. discarded speculation),
-    #: probes consumed (the serial decision path), probes statically
-    #: pruned, and call-site arms dropped before the binary search.
+    #: probes consumed (the serial decision path) and probes skipped
+    #: by the phase-1a determinism rule.
     search_info: Optional[Dict] = None
 
 
@@ -278,10 +278,6 @@ class DiagnosticEngine:
             self.telemetry.metrics.counter("diagnosis.probes_consumed")
         self._m_probes_pruned = \
             self.telemetry.metrics.counter("diagnosis.probes_pruned")
-        self._m_arms_pruned = \
-            self.telemetry.metrics.counter("diagnosis.arms_pruned")
-        self._m_pruner_fallback = \
-            self.telemetry.metrics.counter("diagnosis.pruner_fallback")
         self._m_policy = \
             self.telemetry.metrics.gauge("diagnosis.search_policy")
         self.max_checkpoint_search = max_checkpoint_search
@@ -298,8 +294,8 @@ class DiagnosticEngine:
         #: Optional :class:`~repro.chaos.ChaosPlan`; consulted once per
         #: probe, never per instruction.
         self.chaos = chaos
-        #: :class:`~repro.search.state.SearchState` -- search policy,
-        #: cached static facts, bandit arms.  The default is the fixed
+        #: :class:`~repro.search.state.SearchState` -- search policy
+        #: and bandit arms.  The default is the fixed
         #: (legacy) schedule.  Imported lazily: repro.core's package
         #: init pulls in this module, and repro.search depends on
         #: repro.core.bugtypes.
@@ -318,7 +314,6 @@ class DiagnosticEngine:
         self._probes_executed = 0
         self._probes_consumed = 0
         self._probes_pruned = 0
-        self._arms_pruned = 0
         self._entropy_salt = 1000
         #: encoded snapshots per checkpoint index -- probes from the
         #: same checkpoint reuse the materialization.
@@ -332,7 +327,6 @@ class DiagnosticEngine:
         self._probes_executed = 0
         self._probes_consumed = 0
         self._probes_pruned = 0
-        self._arms_pruned = 0
         self._m_policy.set(_POLICY_CODES[self.search.policy])
         with self.telemetry.span("diagnosis") as span:
             diag = self._diagnose(failure)
@@ -341,15 +335,13 @@ class DiagnosticEngine:
                 "probes_executed": self._probes_executed,
                 "probes_consumed": self._probes_consumed,
                 "probes_pruned": self._probes_pruned,
-                "arms_pruned": self._arms_pruned,
             }
             span.set(verdict=diag.verdict.value,
                      rollbacks=diag.rollbacks,
                      search_policy=self.search.policy,
                      probes_executed=self._probes_executed,
                      probes_consumed=self._probes_consumed,
-                     probes_pruned=self._probes_pruned,
-                     arms_pruned=self._arms_pruned)
+                     probes_pruned=self._probes_pruned)
             return diag
 
     def diagnose_sampled(self, failure: FailureEvent) -> Diagnosis:
@@ -397,7 +389,6 @@ class DiagnosticEngine:
                 "probes_executed": 0,
                 "probes_consumed": 0,
                 "probes_pruned": 0,
-                "arms_pruned": 0,
                 "fast_path": True,
             }
             self.events.emit(
@@ -421,21 +412,14 @@ class DiagnosticEngine:
             diag.notes.append("no checkpoints available")
             return diag
 
-        # Static facts gate every pruning decision.  ``static_ok``
-        # additionally requires the program to be statically
-        # deterministic (no reachable RAND): then probe outcomes are
-        # pure functions of (checkpoint, policy), so skipping a probe
-        # whose outcome is statically forced cannot perturb any later
-        # probe through the entropy-salt ledger.
-        facts = self.search.facts_for(self.process.program)
-        static_ok = facts is not None and facts.deterministic
-
         # Phase 1a: plain re-execution from the latest checkpoint.
         # With an empty patch pool the production run *was* the plain
         # policy over the same journal, so for a deterministic program
-        # this probe must reproduce the failure -- skip it.
-        if static_ok and len(self.pool) == 0 \
-                and not self.force_plain_probe:
+        # (no reachable RAND: probe outcomes are pure functions of
+        # checkpoint and policy) this probe must reproduce the failure
+        # -- skip it.
+        if self.search.may_skip_plain_probe(self.process.program) \
+                and len(self.pool) == 0 and not self.force_plain_probe:
             self._note_pruned(
                 diag, "1a", "deterministic program with empty patch "
                 "pool: plain re-execution must reproduce the failure")
@@ -463,7 +447,7 @@ class DiagnosticEngine:
         # shapes speculation cost only.
         chosen: Optional[Checkpoint] = None
         bandit = (self.search.bandit
-                  if self.search.speculates and self.executor is not None
+                  if self.executor is not None
                   and self.executor.workers > 1 else None)
         if bandit is not None:
             waves = bandit.plan_walk_waves(len(candidates),
@@ -521,41 +505,21 @@ class DiagnosticEngine:
         # Phase 2: identify bug types group by group.  Each probe uses
         # exposing changes for its group and preventive changes for the
         # fixed complement, so the probes are mutually independent and
-        # dispatch as one batch.  Groups whose every member the static
-        # mask rules out are skipped: their probe differs from the
-        # all-preventive probe (which just passed from this checkpoint)
-        # only in fill/canary content no reachable instruction can
-        # observe, so it would pass and identify nothing.  Each skip
-        # bumps the salt ledger by one, exactly as consuming the probe
-        # would have, keeping later salts identical to the fixed
-        # schedule's.
+        # dispatch as one batch.
         identified: List[BugType] = []
-        plan: List[Tuple[Sequence[BugType], Optional[int]]] = []
-        reqs: List[_ProbeReq] = []
-        for i, group in enumerate(CHANGE_GROUPS):
-            if static_ok and not facts.group_feasible(group):
-                plan.append((group, None))
-            else:
-                plan.append((group, len(reqs)))
-                reqs.append(_ProbeReq(chosen, self._group_policy(group),
-                                      i + 1))
-        batch = self._dispatch(reqs, window_end) if reqs else None
+        batch = self._dispatch(
+            [_ProbeReq(chosen, self._group_policy(group), i + 1)
+             for i, group in enumerate(CHANGE_GROUPS)],
+            window_end)
         try:
-            for group, probe_index in plan:
-                if probe_index is None:
-                    self._note_pruned(
-                        diag, "2-group",
-                        "statically infeasible group: "
-                        + "/".join(b.value for b in group))
-                    continue
+            for i, group in enumerate(CHANGE_GROUPS):
                 if self._rollbacks >= self.max_rollbacks:
                     break
-                outcome = batch.consume(probe_index)
+                outcome = batch.consume(i)
                 identified.extend(
                     self._interpret_group(group, outcome, diag))
         finally:
-            if batch is not None:
-                batch.finish()
+            batch.finish()
 
         if not identified:
             diag.rollbacks = self._rollbacks
@@ -567,32 +531,13 @@ class DiagnosticEngine:
         diag.bug_types = identified
 
         # Phase 2b: call-sites for read-type bugs via binary search.
-        # The static pruner drops arms whose exposure no read can
-        # observe (canary fill at allocation / at free): the bisection
-        # then runs over the kept subset, with a one-probe fallback
-        # valve over the full universe inside ``_binary_search_sites``
-        # guarding against analysis bugs.
         for bug_type in identified:
             evidence = diag.evidence[bug_type]
             if bug_type.identified_directly:
                 continue
             universe = self._universe_for(bug_type, chosen, window_end)
-            kept = universe
-            if static_ok:
-                kept = [site for site in universe
-                        if facts.site_relevant(bug_type, site)]
-                dropped = len(universe) - len(kept)
-                if dropped:
-                    self._arms_pruned += dropped
-                    self._m_arms_pruned.inc(dropped)
-                    self.events.emit(
-                        self.process.clock.now_ns,
-                        "diagnosis.arms_pruned",
-                        bug_type=bug_type.value, dropped=dropped,
-                        universe=len(universe))
             sites = self._binary_search_sites(
-                chosen, bug_type, kept, window_end, identified,
-                full_universe=universe)
+                chosen, bug_type, universe, window_end, identified)
             evidence.sites = sites
             evidence.details.append(
                 f"binary search over {len(universe)} call-sites")
@@ -615,7 +560,7 @@ class DiagnosticEngine:
 
     def _note_pruned(self, diag: Diagnosis, phase: str,
                      reason: str) -> None:
-        """Account for a probe whose outcome the static analysis
+        """Account for a probe whose outcome the determinism rule
         forced.  The salt ledger advances by one exactly as consuming
         the probe would have, so every later probe sees the same salt
         under any policy."""
@@ -868,52 +813,20 @@ class DiagnosticEngine:
     def _binary_search_sites(self, checkpoint: Checkpoint,
                              bug_type: BugType,
                              universe: List[CallSite], window_end: int,
-                             all_types: Sequence[BugType],
-                             full_universe: Optional[List[CallSite]]
-                             = None) -> List[CallSite]:
+                             all_types: Sequence[BugType]) \
+            -> List[CallSite]:
         identified: List[CallSite] = []
         remaining = list(universe)
-        full = (list(full_universe) if full_universe is not None
-                else list(universe))
-        #: the pruner dropped arms: before accepting "no more bug
-        #: sites", one extra probe over the full universe either proves
-        #: the drop was justified or -- under an analysis bug -- puts
-        #: the dropped arms back.  At most one valve probe per search.
-        valve_open = len(remaining) < len(full)
-        while self._rollbacks < self.max_rollbacks:
+        while remaining and self._rollbacks < self.max_rollbacks:
             # Round check: expose everything still unidentified.  This
             # probe gates the next round, so it cannot overlap with it;
             # it runs as a batch of one.
-            if remaining:
-                outcome = self._probe_one(
-                    checkpoint,
-                    self._search_policy(bug_type, remaining, all_types),
-                    window_end)
-                exhausted = outcome.passed
-            else:
-                exhausted = True
-            if exhausted:
-                if not valve_open:
-                    break  # all bug sites found
-                valve_open = False
-                rest = [site for site in full
-                        if site not in identified]
-                if not rest:
-                    break
-                outcome = self._probe_one(
-                    checkpoint,
-                    self._search_policy(bug_type, rest, all_types),
-                    window_end)
-                if outcome.passed:
-                    break  # pruned arms confirmed boring
-                self._m_pruner_fallback.inc()
-                self.events.emit(
-                    self.process.clock.now_ns,
-                    "diagnosis.pruner_fallback",
-                    bug_type=bug_type.value,
-                    restored=len(rest) - len(remaining))
-                remaining = rest
-                continue
+            outcome = self._probe_one(
+                checkpoint,
+                self._search_policy(bug_type, remaining, all_types),
+                window_end)
+            if outcome.passed:
+                break  # all bug sites found
             if self.site_search == "binary":
                 site = self._bisect_round(checkpoint, bug_type,
                                           remaining, all_types,
@@ -974,7 +887,7 @@ class DiagnosticEngine:
         """
         candidates = tuple(remaining)
         fanout = max(2, self.executor.workers)
-        bandit = self.search.bandit if self.search.speculates else None
+        bandit = self.search.bandit
         base_depth = 0
         while len(candidates) > 1:
             nodes: List[Tuple[int, tuple]] = []

@@ -104,16 +104,16 @@ class BugReport:
             f"{validation_s}(s); rollbacks: {diag.rollbacks}")
         if diag.search_info:
             # Backend-invariant fields only: probes *consumed* and
-            # statically pruned are properties of the serial decision
-            # path, identical under any executor; probes *executed*
-            # (incl. discarded speculation) legitimately differs
-            # serial-vs-fork and lives in metrics/search_info instead.
+            # skipped by the determinism rule are properties of the
+            # serial decision path, identical under any executor;
+            # probes *executed* (incl. discarded speculation)
+            # legitimately differs serial-vs-fork and lives in
+            # metrics/search_info instead.
             info = diag.search_info
             out.append(
                 f"    search: policy={info['policy']}; probes "
                 f"consumed: {info['probes_consumed']}; probes pruned: "
-                f"{info['probes_pruned']}; call-site arms pruned: "
-                f"{info['arms_pruned']}")
+                f"{info['probes_pruned']}")
         if self.diagnosis_log is not None:
             for event in self.diagnosis_log.of_kind("diagnosis"):
                 out.append(

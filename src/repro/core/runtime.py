@@ -149,12 +149,12 @@ class FirstAidConfig:
     #: against.
     vm_tier: str = "compiled"
     #: Diagnosis search policy (repro.search, DESIGN.md §13).
-    #: "fixed" is the legacy schedule; "pruned" adds static bytecode
-    #: feasibility masks + call-site arm pruning (fewer probes
-    #: consumed); "bandit" additionally shapes the parallel executor's
-    #: speculation with a deterministic UCB1 bandit (fewer probes
-    #: executed at workers > 1).  The produced Diagnosis is
-    #: byte-identical under all three.
+    #: "fixed" is the legacy schedule; "bandit" skips the phase-1a
+    #: plain probe for a program with no reachable RAND (fewer probes
+    #: consumed) and shapes the parallel executor's speculation with a
+    #: deterministic UCB1 bandit (fewer probes executed at
+    #: workers > 1).  The produced Diagnosis is byte-identical under
+    #: both.
     search_policy: str = "fixed"
     #: Health-gated staged rollout (repro.rollout, DESIGN.md §14).
     #: Off (default): every store patch is adopted by everyone -- the
@@ -285,10 +285,10 @@ class FirstAidRuntime:
             events=self.events, telemetry=self.telemetry,
             executor=self.executor, store=self.store,
             chaos=self.config.chaos)
-        #: Session-owned search state: static facts cached per program,
-        #: bandit arm statistics persisting across failures.  Imported
-        #: lazily -- repro.search depends on repro.core.bugtypes, and
-        #: this module is part of repro.core's package init.
+        #: Session-owned search state: bandit arm statistics persisting
+        #: across failures.  Imported lazily -- repro.search depends on
+        #: repro.core.bugtypes, and this module is part of repro.core's
+        #: package init.
         from repro.search.state import SearchState
         self.search = SearchState(self.config.search_policy,
                                   seed=self.config.entropy_seed)

@@ -117,8 +117,7 @@ def _render_phase_table(recoveries: List[Span]) -> List[str]:
                     f"policy={span.attrs['search_policy']} "
                     f"executed={span.attrs.get('probes_executed', 0)} "
                     f"consumed={span.attrs.get('probes_consumed', 0)} "
-                    f"pruned={span.attrs.get('probes_pruned', 0)} "
-                    f"arms_pruned={span.attrs.get('arms_pruned', 0)}")
+                    f"pruned={span.attrs.get('probes_pruned', 0)}")
     return out
 
 

@@ -1,15 +1,13 @@
 """Search policies for the diagnostic engine (DESIGN.md §13).
 
 The diagnostic engine's probe schedule is a search over (change-group,
-call-site-partition) candidates.  This package replaces the fixed
-schedule with two cooperating layers:
+call-site-partition) candidates.  This package adds two things to the
+fixed schedule:
 
-* :mod:`repro.search.pruner` -- a cheap static analysis over MiniC
-  bytecode (def-use provenance, typestate reachability, free-operand
-  validity) that rules candidate arms out *before any re-execution*:
-  probes whose outcome is statically forced are skipped, and call-site
-  arms whose exposure is provably unobservable never enter the binary
-  search.
+* :func:`~repro.search.state.analyze_program` -- a call-graph scan for
+  RAND.  A program with no reachable RAND is deterministic, so with an
+  empty patch pool the phase-1a plain re-execution must reproduce the
+  failure and is skipped.
 * :mod:`repro.search.bandit` -- a deterministic bandit (UCB1 branch
   arms over the bisection tree, counterfactual-cost wave sizing for the
   checkpoint walk) that allocates the parallel executor's speculative
@@ -22,13 +20,11 @@ owned by the runtime so arm statistics persist across failures.
 """
 
 from repro.search.bandit import SearchBandit
-from repro.search.pruner import ProgramFacts, analyze_program
-from repro.search.state import SEARCH_POLICIES, SearchState
+from repro.search.state import SEARCH_POLICIES, SearchState, analyze_program
 
 __all__ = [
     "SEARCH_POLICIES",
     "SearchState",
     "SearchBandit",
-    "ProgramFacts",
     "analyze_program",
 ]

@@ -9,6 +9,7 @@ from repro.core.diagnosis import DiagnosticEngine, Verdict
 from repro.core.patches import PatchPool
 from repro.heap.extension import ExtensionMode
 from repro.monitors import default_monitors
+from repro.search import SearchState
 from repro.vm.machine import RunReason
 from tests.conftest import make_process
 
@@ -284,12 +285,15 @@ def test_multiple_bug_types_in_one_failure():
 
 
 NONDET_APP = """
+int roll() {
+    return rand() % 16;
+}
 int main() {
     while (1) {
         int op = input();
         if (op == 0) { halt(); }
         if (op == 7) {
-            int dice = rand() % 16;
+            int dice = roll();
             assert(dice != 1);       // timing-dependent failure
         }
         output(1);
@@ -298,12 +302,15 @@ int main() {
 """
 
 
-def test_nondeterministic_bug_detected():
+@pytest.mark.parametrize("policy", ["fixed", "bandit"])
+def test_nondeterministic_bug_detected(policy):
     # Find an entropy seed whose first run fails; the diagnostic
     # engine reseeds entropy per re-execution, so the plain
     # re-execution passes with probability 15/16 per roll.  Try a few
     # failing seeds until one diagnoses as nondeterministic (the engine
     # correctly reports NON_PATCHABLE when the re-roll also fails).
+    # RAND sits in a helper main calls, so the determinism scan must
+    # follow CALL edges: under ``bandit`` the plain probe still runs.
     verdicts = []
     for seed in range(1, 200):
         process = make_process(NONDET_APP,
@@ -319,8 +326,10 @@ def test_nondeterministic_bug_detected():
             failure = monitor.check(result, process)
             if failure:
                 break
-        engine = DiagnosticEngine(process, manager, PatchPool("t"))
+        engine = DiagnosticEngine(process, manager, PatchPool("t"),
+                                  search=SearchState(policy))
         diagnosis = engine.diagnose(failure)
+        assert diagnosis.search_info["probes_pruned"] == 0
         verdicts.append(diagnosis.verdict)
         if diagnosis.verdict is Verdict.NONDETERMINISTIC:
             assert diagnosis.patches == []

@@ -1,5 +1,5 @@
-"""Search-policy equivalence: fixed, pruned, and bandit schedules must
-produce byte-identical diagnoses (ISSUE 8's hard correctness bar).
+"""Search-policy equivalence: the fixed and bandit schedules must
+produce byte-identical diagnoses (the hard correctness bar).
 
 The digest compared here is everything the diagnosis *concluded* --
 verdict, bug types, chosen checkpoint, evidence sites and details,
@@ -98,44 +98,29 @@ def test_policies_agree_serial(app):
     source, tokens = APPS[app]
     base, _, _ = diagnose_with(source, tokens, "fixed")
     assert base.verdict is Verdict.PATCHED
-    for policy in ("pruned", "bandit"):
-        diag, _, _ = diagnose_with(source, tokens, policy)
-        assert digest(diag) == digest(base), (app, policy)
+    diag, _, _ = diagnose_with(source, tokens, "bandit")
+    assert digest(diag) == digest(base), app
 
 
 @pytest.mark.parametrize("app", ["overflow", "dangling_read"])
 def test_policies_agree_speculative(app):
     source, tokens = APPS[app]
     base, _, _ = diagnose_with(source, tokens, "fixed")
-    for policy in ("fixed", "pruned", "bandit"):
+    for policy in ("fixed", "bandit"):
         diag, _, _ = diagnose_with(source, tokens, policy, workers=2)
         assert digest(diag) == digest(base), (app, policy)
 
 
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_pruned_consumes_strictly_fewer_probes(app):
-    """First diagnosis, empty pool, deterministic program: the static
-    1a skip alone guarantees a strict win."""
+    """First diagnosis, empty pool, deterministic program: the bandit
+    policy's phase-1a skip alone guarantees a strict win."""
     source, tokens = APPS[app]
     fixed, _, _ = diagnose_with(source, tokens, "fixed")
-    pruned, _, _ = diagnose_with(source, tokens, "pruned")
-    assert (pruned.search_info["probes_consumed"]
+    bandit, _, _ = diagnose_with(source, tokens, "bandit")
+    assert (bandit.search_info["probes_consumed"]
             < fixed.search_info["probes_consumed"])
-    assert pruned.search_info["probes_pruned"] >= 1
-
-
-def test_pruned_skips_infeasible_groups():
-    """DOUBLE_FREE_APP never loads from the heap, so the
-    uninitialized-read group probe is statically skipped -- on top of
-    the 1a skip -- with the diagnosis unchanged."""
-    source, tokens = APPS["double_free"]
-    fixed, _, _ = diagnose_with(source, tokens, "fixed")
-    pruned, _, _ = diagnose_with(source, tokens, "pruned")
-    assert digest(pruned) == digest(fixed)
-    assert fixed.verdict is Verdict.PATCHED
-    assert pruned.search_info["probes_pruned"] >= 2
-    assert any("infeasible group: uninitialized-read" in n
-               for n in pruned.notes)
+    assert bandit.search_info["probes_pruned"] == 1
 
 
 # ---------------------------------------------------------------------
@@ -154,10 +139,10 @@ def test_property_policies_agree(app, prefix, suffix, seed):
     normal = base_tokens[0]
     tokens = [normal] * prefix + trigger + [normal] * suffix + [0]
     results = {}
-    for policy in ("fixed", "pruned", "bandit"):
+    for policy in ("fixed", "bandit"):
         diag, _, _ = diagnose_with(source, tokens, policy, seed=seed)
         results[policy] = digest(diag)
-    assert results["fixed"] == results["pruned"] == results["bandit"]
+    assert results["fixed"] == results["bandit"]
 
 
 # ---------------------------------------------------------------------
@@ -188,19 +173,25 @@ def test_bandit_seed_changes_only_speculation():
 
 
 # ---------------------------------------------------------------------
-# full sessions: backend equivalence under the new policies
+# full sessions: backend and tier equivalence under bandit search
 # ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("policy", ["pruned", "bandit"])
-def test_session_backend_equivalence(policy):
-    serial = run_app_session("bc", triggers=1, search_policy=policy)
+@pytest.mark.parametrize("vm_tier", ["reference", "compiled"])
+def test_session_backend_equivalence(vm_tier):
+    serial = run_app_session("bc", triggers=1, vm_tier=vm_tier,
+                             search_policy="bandit")
     forked = run_app_session("bc", triggers=1, workers=2,
-                             search_policy=policy)
+                             vm_tier=vm_tier, search_policy="bandit")
     assert serial.equivalence_key() == forked.equivalence_key()
 
 
 def test_session_cross_policy_diagnosis_identity():
-    keys = [run_app_session("bc", triggers=1,
+    """One diagnosis across {reference, compiled} x {fixed, bandit} x
+    {1, 2 workers}: neither the VM tier, the search policy nor the
+    backend may change what a production session concludes."""
+    keys = {run_app_session("bc", triggers=1, workers=w, vm_tier=tier,
                             search_policy=p).diagnosis_key()
-            for p in ("fixed", "pruned", "bandit")]
-    assert keys[0] == keys[1] == keys[2]
+            for tier in ("reference", "compiled")
+            for p in ("fixed", "bandit")
+            for w in (1, 2)}
+    assert len(keys) == 1
