@@ -44,11 +44,7 @@ if __name__ == "__main__":  # script mode without PYTHONPATH=src
     sys.path.insert(0, os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.bench.fleet import (
-    run_fleet,
-    run_fleet_serial,
-    run_health_fault_storm,
-)
+from repro.bench.fleet import run_fleet, run_health_fault_storm
 from repro.obs.health import (
     FleetHealthAggregator,
     HealthBeacon,
@@ -161,7 +157,7 @@ def main(argv=None) -> int:
             print(f"[fleet] {app}: {args.procs} forked processes ...")
             run_fleet(app, fork_store, procs=args.procs)
             print(f"[fleet] {app}: same fleet, serial ...")
-            run_fleet_serial(app, serial_store, procs=args.procs)
+            run_fleet(app, serial_store, procs=args.procs, parallel=False)
 
             vis = _visibility(fork_store)
             orders = _order_invariance(fork_store, SHUFFLE_ORDERS)

@@ -51,25 +51,26 @@ DEFAULT_PROCS = 4
 DEFAULT_FAULTS = 100
 
 
-def _process_row(report) -> dict:
+def _process_row(role: str, digest) -> dict:
     return {
-        "role": report.role,
-        "pid": report.pid,
-        "reason": report.reason,
-        "recoveries": report.recoveries,
-        "survived": report.survived,
-        "patches": report.patches,
-        "validated_patches": report.validated_patches,
-        "patched_triggers": report.patched_triggers,
-        "wall_s": report.wall_s,
+        "role": role,
+        "pid": digest.pid,
+        "reason": digest.reason,
+        "recoveries": digest.recoveries,
+        "survived": digest.survived,
+        "patches": digest.patches,
+        "validated_patches": digest.validated_patches,
+        "patched_triggers": digest.patched_triggers,
+        "wall_s": digest.wall_s,
     }
 
 
 def _fleet_row(result: FleetRunResult) -> dict:
     return {
         "procs": result.procs,
-        "leader": _process_row(result.leader),
-        "followers": [_process_row(f) for f in result.followers],
+        "leader": _process_row("leader", result.leader),
+        "followers": [_process_row("follower", f)
+                      for f in result.followers],
         "follower_failures": sum(f.recoveries for f in result.followers),
         "followers_prevented": result.followers_prevented,
         "store_generation": result.store_generation,

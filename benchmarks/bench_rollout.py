@@ -45,10 +45,7 @@ if __name__ == "__main__":  # script mode without PYTHONPATH=src
     sys.path.insert(0, os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.bench.fleet import (
-    run_rollout_fleet,
-    run_rollout_fleet_serial,
-)
+from repro.bench.fleet import run_rollout_fleet
 from repro.bench.harness import run_app_session
 from repro.core.bugtypes import BugType
 from repro.core.patches import PatchPool
@@ -60,6 +57,8 @@ EQUIVALENCE_APP = "squid"
 
 
 def _fleet_payload(result) -> dict:
+    rows = result.member_rows()
+    non_canary = [m for m in rows if not m["canary"]]
     return {
         "bad_key": result.bad_key,
         "real_keys": result.real_keys,
@@ -73,23 +72,12 @@ def _fleet_payload(result) -> dict:
         "containment": result.containment_passed,
         "promotion": result.promotion_passed,
         "gate_passed": result.gate_passed,
-        "members": [{
-            "role": m.role,
-            "label": m.label,
-            "canary": m.canary,
-            "reason": m.reason,
-            "recoveries": m.recoveries,
-            "survived": m.survived,
-            "patches": m.patches,
-            "patched_triggers": m.patched_triggers,
-            "bad_patch_adopted": m.bad_patch_adopted,
-            "bad_patch_triggers": m.bad_patch_triggers,
-            "wall_s": m.wall_s,
-        } for m in result.members],
+        "members": [dict(row, wall_s=digest.wall_s)
+                    for row, (_, digest) in zip(rows, result.members)],
         "non_canary_bad_triggers": sum(
-            m.bad_patch_triggers for m in result.non_canary_members),
+            m["bad_patch_triggers"] for m in non_canary),
         "non_canary_bad_adoptions": sum(
-            1 for m in result.non_canary_members if m.bad_patch_adopted),
+            1 for m in non_canary if m["bad_patch_adopted"]),
     }
 
 
@@ -161,8 +149,9 @@ def main(argv=None) -> int:
             forked = run_rollout_fleet(
                 app, os.path.join(tmp, f"{app}.fork.json"))
             print(f"[rollout] {app}: same fleet, serial ...")
-            serial = run_rollout_fleet_serial(
-                app, os.path.join(tmp, f"{app}.serial.json"))
+            serial = run_rollout_fleet(
+                app, os.path.join(tmp, f"{app}.serial.json"),
+                parallel=False)
             fleets[app] = _fleet_payload(forked)
             serial_vs_fork[app] = (forked.fleet_digest()
                                    == serial.fleet_digest())

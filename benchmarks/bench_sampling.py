@@ -16,8 +16,10 @@ Measures and gates the sampling plane (``repro.sampling``, DESIGN.md
    unsampled process would have failed, fleet TTFP strictly better,
    and every sampled fleet still prevents its followers.
 
-3. **Rate-0 identity** -- ``sampling_rate=0`` session digests must be
-   byte-identical (equivalence key) to the defaults the seed produces.
+3. **Rate-0 identity** -- a ``sampling_rate=0`` session attaches no
+   sampler, keeps no sampling stats and publishes beacons without a
+   ``sampling`` section, so it is the pre-sampling session by
+   construction; the same app at rate 1/64 must show all three.
 
 Runnable as a script::
 
@@ -98,7 +100,8 @@ def main(argv=None) -> int:
           f"fleet_ttfp_better={fleet.fleet_ttfp_better} "
           f"gate={fleet.gate_passed}")
 
-    print("[identity] sampling_rate=0 vs seed defaults ...")
+    print("[identity] sampling_rate=0 attaches nothing, "
+          f"1/{GATE_RATE} attaches a sampler ...")
     identity = rate_zero_identity(apps=identity_apps)
     print(f"[identity] apps={len(identity['apps'])} "
           f"mismatches={identity['mismatches']} "

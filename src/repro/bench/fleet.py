@@ -22,23 +22,25 @@ patch store (:mod:`repro.store`):
 
 Both return plain dataclasses so ``benchmarks/bench_fleet_prevention.py``
 can JSON-dump and gate them, and tests can assert on them directly.
+Every fleet member is a :func:`~repro.bench.harness.run_app_session`
+digest, run by :func:`~repro.bench.harness.run_sessions`.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.apps.registry import get_app
-from repro.bench.harness import spaced_workload
+from repro.bench.harness import SessionDigest, run_sessions, spaced_workload
 from repro.core.bugtypes import BugType
 from repro.core.patches import PatchPool, RuntimePatch
 from repro.core.runtime import FirstAidConfig, FirstAidRuntime
 from repro.store import FaultPlan, SharedPatchStore, TornWriteCrash
 from repro.util.callsite import CallSite
+from repro.util.events import EventLog
 
 #: Fault kinds the storm cycles through, in rng order.
 STORM_KINDS = ("torn_write", "stale_lock", "corrupt")
@@ -49,32 +51,13 @@ STORM_KINDS = ("torn_write", "stale_lock", "corrupt")
 # ---------------------------------------------------------------------
 
 @dataclass
-class FleetProcessReport:
-    """One fleet member's session, digested for the gate."""
-
-    index: int
-    role: str                  # "leader" | "follower"
-    app: str
-    pid: int
-    reason: str
-    recoveries: int
-    survived: bool
-    patches: int
-    validated_patches: int
-    #: Sum of local patch trigger counts: how often the preventive
-    #: change actually fired at the patched call-site in this process.
-    patched_triggers: int
-    wall_s: float
-
-
-@dataclass
 class FleetRunResult:
     """One app's fleet experiment: leader + concurrent followers."""
 
     app: str
     procs: int
-    leader: FleetProcessReport
-    followers: List[FleetProcessReport]
+    leader: SessionDigest
+    followers: List[SessionDigest]
     store_generation: int
     store_patches: int
     store_validated: int
@@ -97,100 +80,32 @@ class FleetRunResult:
                 and self.followers_prevented)
 
 
-def _fleet_process(spec: Tuple[int, str, str, str, int, int, int]
-                   ) -> FleetProcessReport:
-    """Run one fleet member.  Module-level so it ships to forked
-    worker processes."""
-    index, role, app_name, store_path, triggers, seed, rate = spec
-    app = get_app(app_name)
-    wl = spaced_workload(app, triggers=triggers, seed=seed)
+def run_fleet(app_name: str, store_path: str, procs: int = 4,
+              triggers: int = 2, leader_sampling_rate: int = 0,
+              parallel: bool = True) -> FleetRunResult:
+    """The staged fleet experiment for one app: the leader diagnoses
+    and publishes, then ``procs - 1`` followers run the same workload
+    against the shared store.  A nonzero ``leader_sampling_rate`` arms
+    the leader with sampled always-on detection; followers always run
+    unsampled.  With ``parallel`` the leader forks alone, then the
+    followers fork together, so nothing reaches a follower except
+    through the store; without, every member runs here in turn, which
+    the health determinism gates compare with the forked fleet."""
+    if procs < 2:
+        raise ValueError("a fleet needs at least 2 processes")
     # Deterministic fleet identity: beacons keyed "leader-0" /
     # "follower-2" aggregate byte-identically whether the fleet ran
-    # forked or serial (pids never enter the health plane).
-    config = FirstAidConfig(store_path=store_path,
-                            process_label=f"{role}-{index}",
-                            sampling_rate=rate)
-    runtime = FirstAidRuntime(app.program(), input_tokens=wl.tokens,
-                              config=config)
-    started = time.perf_counter()
-    session = runtime.run()
-    wall = time.perf_counter() - started
-    patches = runtime.pool.patches()
-    report = FleetProcessReport(
-        index=index, role=role, app=app_name, pid=os.getpid(),
-        reason=session.reason,
-        recoveries=len(session.recoveries),
-        survived=session.survived_all and session.reason != "died",
-        patches=len(patches),
-        validated_patches=sum(1 for p in patches if p.validated),
-        patched_triggers=sum(p.trigger_count for p in patches),
-        wall_s=wall)
-    runtime.close()
-    return report
+    # forked or serial (pids never enter the health plane).  Distinct
+    # follower seeds: same bug, different traffic.
+    member = dict(app_name=app_name, triggers=triggers,
+                  store_path=store_path)
+    [leader] = run_sessions(
+        [dict(member, seed=42, process_label="leader-0",
+              sampling_rate=leader_sampling_rate)], parallel)
+    followers = run_sessions(
+        [dict(member, seed=42 + i, process_label=f"follower-{i}")
+         for i in range(1, procs)], parallel)
 
-
-def run_fleet(app_name: str, store_path: str, procs: int = 4,
-              triggers: int = 2,
-              leader_sampling_rate: int = 0) -> FleetRunResult:
-    """The staged fleet experiment for one app: the leader process
-    diagnoses and publishes, then ``procs - 1`` follower processes run
-    the same workload concurrently against the shared store.  A
-    nonzero ``leader_sampling_rate`` arms the leader with sampled
-    always-on detection; followers always run unsampled."""
-    if procs < 2:
-        raise ValueError("a fleet needs at least 2 processes")
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else None)
-
-    # Stage 1: the leader suffers the bug, recovers, validates,
-    # publishes.  Its own OS process, so nothing leaks via memory.
-    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-        leader = pool.submit(
-            _fleet_process,
-            (0, "leader", app_name, store_path, triggers, 42,
-             leader_sampling_rate)).result()
-
-    # Stage 2: the rest of the fleet, concurrently, one OS process
-    # each.  Distinct workload seeds: same bug, different traffic.
-    specs = [(i, "follower", app_name, store_path, triggers, 42 + i, 0)
-             for i in range(1, procs)]
-    with ProcessPoolExecutor(max_workers=len(specs),
-                             mp_context=ctx) as pool:
-        followers = list(pool.map(_fleet_process, specs))
-
-    store = SharedPatchStore(store_path, get_app(app_name).program().name)
-    state = store.load()
-    return FleetRunResult(
-        app=app_name, procs=procs, leader=leader, followers=followers,
-        store_generation=state.generation,
-        store_patches=len(state.patches),
-        store_validated=len(state.validated_keys()),
-        store_max_trigger=max(
-            (int(p.get("trigger_count", 0))
-             for p in state.patches.values()), default=0))
-
-
-def run_fleet_serial(app_name: str, store_path: str, procs: int = 4,
-                     triggers: int = 2,
-                     leader_sampling_rate: int = 0) -> FleetRunResult:
-    """The exact experiment of :func:`run_fleet` with every member run
-    sequentially in this host process: same roles, labels, seeds, and
-    store protocol, no forking.  Exists for the health determinism
-    gate -- the fleet health report aggregated from a serial run must
-    be byte-identical to the forked run's, which it can only be if
-    beacons carry nothing host-dependent (and, with a sampled leader,
-    only if sample selection is backend-independent)."""
-    if procs < 2:
-        raise ValueError("a fleet needs at least 2 processes")
-    leader = _fleet_process(
-        (0, "leader", app_name, store_path, triggers, 42,
-         leader_sampling_rate))
-    followers = [
-        _fleet_process(
-            (i, "follower", app_name, store_path, triggers, 42 + i, 0))
-        for i in range(1, procs)]
     store = SharedPatchStore(store_path, get_app(app_name).program().name)
     state = store.load()
     return FleetRunResult(
@@ -216,33 +131,6 @@ BAD_PATCH_FRAME = ("injected_bad", 0)
 
 
 @dataclass
-class RolloutMemberReport:
-    """One rollout-fleet member's session, digested for the gates."""
-
-    index: int
-    role: str                  # "canary-leader" | "canary" |
-                               # "early-follower" | "late-follower"
-    label: str
-    canary: bool
-    reason: str
-    recoveries: int
-    survived: bool
-    patches: int
-    patched_triggers: int      # local prevention-policy trigger count
-    bad_patch_adopted: bool    # gate: False for every non-canary
-    bad_patch_triggers: int    # gate: 0 for every non-canary
-    wall_s: float
-
-    def digest(self) -> Tuple:
-        """The deterministic slice (wall clock and pids excluded):
-        the serial-vs-fork byte-identity gate compares these."""
-        return (self.role, self.label, self.canary, self.reason,
-                self.recoveries, self.survived, self.patches,
-                self.patched_triggers, self.bad_patch_adopted,
-                self.bad_patch_triggers)
-
-
-@dataclass
 class RolloutFleetResult:
     """One app's staged-rollout experiment: a bad patch injected at
     STAGED next to a real bug, canaries exposed, the promotion
@@ -252,7 +140,9 @@ class RolloutFleetResult:
     canary_fraction: float
     bad_key: str
     real_keys: List[str]
-    members: List[RolloutMemberReport]
+    #: (role, digest) per member in run order; role is
+    #: "canary-leader" | "canary" | "early-follower" | "late-follower".
+    members: List[Tuple[str, SessionDigest]]
     #: Rendered decision trail from the controller pass (sorted patch
     #: keys, cascaded) -- the byte-identity gates compare this string
     #: list verbatim.
@@ -268,32 +158,52 @@ class RolloutFleetResult:
     order_invariant: bool
     shuffles: int
 
-    @property
-    def non_canary_members(self) -> List[RolloutMemberReport]:
-        return [m for m in self.members if not m.canary]
+    def member_rows(self) -> List[dict]:
+        """Each member's deterministic facts (wall clock and pid
+        excluded), in run order.  ``patched_triggers`` counts only the
+        process's own preventions by real patches; the bad patch's
+        adoption and triggers are read off its pool and its own
+        trigger counts."""
+        bad = self.bad_key
+        return [{
+            "role": role,
+            "label": d.label,
+            "canary": d.canary,
+            "reason": d.reason,
+            "recoveries": d.recoveries,
+            "survived": d.survived,
+            "patches": d.patches,
+            "patched_triggers": sum(count for key, count
+                                    in d.local_triggers.items()
+                                    if key != bad),
+            "bad_patch_adopted": bad in d.pool,
+            "bad_patch_triggers": d.local_triggers.get(bad, 0),
+        } for role, d in self.members]
 
     @property
     def containment_passed(self) -> bool:
         """The deliberately-bad patch never reached a non-canary
         process, and the fleet condemned it."""
+        others = [m for m in self.member_rows() if not m["canary"]]
         return (self.bad_key in self.rolled_back
                 and self.final_stages.get(self.bad_key) == "rolled_back"
-                and bool(self.non_canary_members)
-                and all(not m.bad_patch_adopted
-                        and m.bad_patch_triggers == 0
-                        for m in self.non_canary_members))
+                and bool(others)
+                and all(not m["bad_patch_adopted"]
+                        and m["bad_patch_triggers"] == 0
+                        for m in others))
 
     @property
     def promotion_passed(self) -> bool:
         """The real patch graduated to fleet-wide and prevented the
         bug in every late joiner."""
-        late = [m for m in self.members if m.role == "late-follower"]
+        late = [m for m in self.member_rows()
+                if m["role"] == "late-follower"]
         return (bool(self.real_keys)
                 and all(self.final_stages.get(k) == "fleet_wide"
                         for k in self.real_keys)
                 and bool(late)
-                and all(m.recoveries == 0 and m.survived
-                        and m.patched_triggers > 0 for m in late))
+                and all(m["recoveries"] == 0 and m["survived"]
+                        and m["patched_triggers"] > 0 for m in late))
 
     @property
     def gate_passed(self) -> bool:
@@ -303,45 +213,11 @@ class RolloutFleetResult:
 
     def fleet_digest(self) -> Tuple:
         """Everything the serial-vs-fork gate compares."""
-        return (tuple(m.digest() for m in sorted(
-                    self.members, key=lambda m: m.label)),
+        return (tuple(tuple(sorted(m.items())) for m in sorted(
+                    self.member_rows(), key=lambda m: m["label"])),
                 tuple(self.decisions),
                 tuple(sorted(self.final_stages.items())),
                 tuple(sorted(self.rolled_back)))
-
-
-def _rollout_member(spec) -> RolloutMemberReport:
-    """Run one rollout-fleet member (module-level: ships to forked
-    workers)."""
-    (index, role, app_name, store_path, label, triggers, seed,
-     fraction, bad_key) = spec
-    app = get_app(app_name)
-    wl = spaced_workload(app, triggers=triggers, seed=seed)
-    config = FirstAidConfig(store_path=store_path, process_label=label,
-                            rollout=True, canary_fraction=fraction)
-    runtime = FirstAidRuntime(app.program(), input_tokens=wl.tokens,
-                              config=config)
-    started = time.perf_counter()
-    session = runtime.run()
-    wall = time.perf_counter() - started
-    patches = runtime.pool.patches()
-    report = RolloutMemberReport(
-        index=index, role=role, label=label,
-        canary=runtime._canary,
-        reason=session.reason,
-        recoveries=len(session.recoveries),
-        survived=session.survived_all and session.reason != "died",
-        patches=len(patches),
-        patched_triggers=sum(
-            count for key, count
-            in runtime.policy.local_triggers.items()
-            if key != bad_key),
-        bad_patch_adopted=any(p.key == bad_key for p in patches),
-        bad_patch_triggers=runtime.policy.local_triggers.get(
-            bad_key, 0),
-        wall_s=wall)
-    runtime.close()
-    return report
 
 
 def run_rollout_fleet(app_name: str, store_path: str,
@@ -368,14 +244,16 @@ def run_rollout_fleet(app_name: str, store_path: str,
     prevented by the promoted patch while the condemned one stays
     buried.
 
-    Determinism gates ride along: the decision trail must be
-    byte-identical across ``shuffles`` random permutations of the
-    beacon list, a second controller tick must decide nothing, and
-    :func:`run_rollout_fleet_serial` (same spec, no forking) must
-    produce the same :meth:`RolloutFleetResult.fleet_digest`."""
+    The leader always runs in this process; with ``parallel`` each
+    later cohort forks, one OS process per member.  Determinism gates
+    ride along: the decision trail must be byte-identical across
+    ``shuffles`` random permutations of the beacon list, a second
+    controller tick must decide nothing, and ``parallel=False`` (same
+    spec, no forking) must produce the same
+    :meth:`RolloutFleetResult.fleet_digest`."""
     from repro.obs.health import HealthChannel, health_path
-    from repro.rollout import (RolloutConfig, PromotionController,
-                               evaluate, pick_labels)
+    from repro.rollout import (STAGED, PromotionController,
+                               RolloutConfig, evaluate, pick_labels)
 
     program_name = get_app(app_name).program().name
     (canary_labels, other_labels) = pick_labels(
@@ -389,31 +267,23 @@ def run_rollout_fleet(app_name: str, store_path: str,
     bad_pool = PatchPool(program_name)
     bad = bad_pool.new_patch(BugType.DOUBLE_FREE,
                              CallSite.intern([BAD_PATCH_FRAME]))
-    from repro.rollout import STAGED
     store.publish([bad], stage=STAGED)
     bad_key = bad.key
 
-    def member(index, role, label, seed):
-        return (index, role, app_name, store_path, label, triggers,
-                seed, canary_fraction, bad_key)
+    def cohort(members, forked):
+        """Run (role, label, seed) members; (role, digest) pairs."""
+        digests = run_sessions(
+            [dict(app_name=app_name, triggers=triggers, seed=seed,
+                  store_path=store_path, process_label=label,
+                  rollout=True, canary_fraction=canary_fraction)
+             for _, label, seed in members], forked)
+        return [(role, d) for (role, _, _), d in zip(members, digests)]
 
     # Phase A: leader alone (publishes the real patch at STAGED), then
     # the exposed cohort.
-    members: List[RolloutMemberReport] = []
-    members.append(_rollout_member(
-        member(0, "canary-leader", leader_label, 42)))
-    phase_a = [member(1, "canary", second_canary, 43),
-               member(2, "early-follower", early_label, 44)]
-    if parallel:
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else None)
-        with ProcessPoolExecutor(max_workers=len(phase_a),
-                                 mp_context=ctx) as pool:
-            members.extend(pool.map(_rollout_member, phase_a))
-    else:
-        members.extend(_rollout_member(spec) for spec in phase_a)
+    members = cohort([("canary-leader", leader_label, 42)], False)
+    members += cohort([("canary", second_canary, 43),
+                       ("early-follower", early_label, 44)], parallel)
 
     # The promotion controller consumes the cohort's evidence.
     channel = HealthChannel(health_path(store_path), program_name)
@@ -442,18 +312,8 @@ def run_rollout_fleet(app_name: str, store_path: str,
             order_invariant = False
 
     # Phase B: late joiners reap the promoted patch.
-    phase_b = [member(3 + i, "late-follower", label, 45 + i)
-               for i, label in enumerate(late_labels)]
-    if parallel and phase_b:
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else None)
-        with ProcessPoolExecutor(max_workers=len(phase_b),
-                                 mp_context=ctx) as pool:
-            members.extend(pool.map(_rollout_member, phase_b))
-    else:
-        members.extend(_rollout_member(spec) for spec in phase_b)
+    members += cohort([("late-follower", label, 45 + i)
+                       for i, label in enumerate(late_labels)], parallel)
 
     final = store.load()
     return RolloutFleetResult(
@@ -469,15 +329,6 @@ def run_rollout_fleet(app_name: str, store_path: str,
         store_generation=final.generation,
         order_invariant=order_invariant,
         shuffles=shuffles)
-
-
-def run_rollout_fleet_serial(app_name: str, store_path: str,
-                             **kw) -> RolloutFleetResult:
-    """:func:`run_rollout_fleet` with every member run sequentially in
-    this host process -- the other half of the serial-vs-fork
-    byte-identity gate."""
-    kw["parallel"] = False
-    return run_rollout_fleet(app_name, store_path, **kw)
 
 
 # ---------------------------------------------------------------------
@@ -657,7 +508,7 @@ class HealthStormResult:
     validated_patches: int = 0
     validated_lost: int = 0          # gate: must stay 0
     publishes_attempted: int = 0
-    health_errors: int = 0           # degraded publishes (expected > 0)
+    health_errors: int = 0           # health.error events (expected > 0)
     health_raised: int = 0           # gate: must stay 0
     quarantined_files: int = 0
     backup_recoveries: int = 0
@@ -680,11 +531,11 @@ def run_health_fault_storm(store_path: str, faults: int = 48,
                            seed: int = 11) -> HealthStormResult:
     """Inject ``faults`` health-channel faults (torn writes, stale
     locks, corrupt files, stale beacons) while ``processes`` synthetic
-    fleet members keep publishing beacons through the same guarded
-    path the runtime uses, with gold validated patches sitting in the
-    patch store next door.  After every fault: the validated patches
-    must all still be there, and the aggregator must still produce a
-    report without raising."""
+    fleet members keep publishing beacons through the runtime's own
+    guard (:meth:`~repro.obs.health.HealthChannel.publish_guarded`),
+    with gold validated patches sitting in the patch store next door.
+    After every fault: the validated patches must all still be there,
+    and the aggregator must still produce a report without raising."""
     from repro.obs.health import (FleetHealthAggregator, HealthBeacon,
                                   HealthChannel, HealthFaultPlan,
                                   health_path)
@@ -699,6 +550,7 @@ def run_health_fault_storm(store_path: str, faults: int = 48,
     plan = HealthFaultPlan()
     channel = HealthChannel(health_path(store_path), "storm-app",
                             faults=plan, stale_lock_after=0.02)
+    channel.events = EventLog()
     result = HealthStormResult(faults_requested=faults,
                                validated_patches=len(gold_keys))
     started = time.perf_counter()
@@ -714,16 +566,11 @@ def run_health_fault_storm(store_path: str, faults: int = 48,
             seq=seqs[proc], time_ns=(i + 1) * 1_000_000,
             failures=proc, recovered=proc)
         result.publishes_attempted += 1
-        # The runtime's guard, verbatim: torn writes force-break our
-        # own abandoned lock; everything else degrades to an error.
+        # The runtime's guard itself: torn writes force-break our own
+        # abandoned lock and retry once; everything else degrades to a
+        # health.error event.
         try:
-            try:
-                channel.publish(beacon)
-            except TornWriteCrash:
-                channel.lock.force_break()
-                result.health_errors += 1
-            except Exception:
-                result.health_errors += 1
+            channel.publish_guarded(beacon)
         except BaseException:
             result.health_raised += 1
         # Gate 1: health faults must never reach the patch store.
@@ -738,6 +585,7 @@ def run_health_fault_storm(store_path: str, faults: int = 48,
             result.health_raised += 1
     result.wall_s = time.perf_counter() - started
     result.faults_fired = dict(plan.fired)
+    result.health_errors = len(channel.events.of_kind("health.error"))
     result.quarantined_files = channel.quarantined
     result.backup_recoveries = channel.recovered_from_backup
     final = FleetHealthAggregator()

@@ -3,11 +3,13 @@ the cached three-configuration overhead sweep."""
 
 from __future__ import annotations
 
+import os
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.apps.base import App, Workload
-from repro.apps.registry import all_apps, real_bug_apps
+from repro.apps.registry import get_app, real_bug_apps
 from repro.baselines.restart import RestartRuntime, RestartSessionResult
 from repro.baselines.rx import RxRuntime, RxSessionResult
 from repro.checkpoint.manager import DEFAULT_INTERVAL, CheckpointManager
@@ -170,7 +172,7 @@ def clear_overhead_cache() -> None:
 
 
 # ---------------------------------------------------------------------
-# backend-equivalence session digests (parallel recovery engine)
+# experiment sessions: one runner, one digest, one fork map
 # ---------------------------------------------------------------------
 
 @dataclass
@@ -181,7 +183,8 @@ class SessionDigest:
     max-over-workers, serial charges the sum).
 
     ``equivalence_key()`` is the behavior half; the parallel benchmark
-    asserts it matches between ``workers=1`` and ``workers=N``.
+    asserts it matches between ``workers=1`` and ``workers=N``.  The
+    fleet experiments read the fleet-member view, outside both keys.
     """
 
     app: str
@@ -217,6 +220,25 @@ class SessionDigest:
     probes_executed: Tuple[int, ...] = ()
     probes_consumed: Tuple[int, ...] = ()
     probes_pruned: Tuple[int, ...] = ()
+    # -- fleet-member view (excluded from both keys) --
+    label: str = ""
+    pid: int = 0
+    canary: bool = True
+    #: patch key -> (trigger_count, validated) over the session's pool
+    #: at exit; trigger counts include what the store merged in.
+    pool: Dict[str, Tuple[int, bool]] = field(default_factory=dict)
+    #: patch key -> preventions this process's own policy counted.
+    local_triggers: Dict[str, int] = field(default_factory=dict)
+    #: Simulated time of the first failure event (a crash, or a guard
+    #: hit under sampling); 0 without one.
+    first_failure_ns: int = 0
+    #: First sampled-guard hit; 0 when sampling is off or never hit.
+    first_detection_ns: int = 0
+    #: Guard hits that ended in a validated patch before any crash.
+    sampled_prevented: int = 0
+    #: Recoveries from a crash-family failure (any monitor other than
+    #: ``sampled-detection``).
+    crashes: int = 0
 
     def equivalence_key(self) -> Tuple:
         return (self.app, self.reason, self.recoveries, self.succeeded,
@@ -236,44 +258,49 @@ class SessionDigest:
                 self.validation_consistent, self.validation_reasons,
                 self.rungs)
 
+    @property
+    def survived(self) -> bool:
+        return all(self.succeeded) and self.reason != "died"
 
-def run_app_session(app_name: str, triggers: int = 2,
-                    workers: int = 1,
-                    telemetry: bool = False,
-                    supervisor: bool = True,
-                    vm_tier: str = "reference",
-                    search_policy: str = "fixed",
-                    rollout: bool = False,
-                    store_path: Optional[str] = None,
-                    sampling_rate: int = 0) -> SessionDigest:
-    """Run one app under First-Aid and digest the session.  Top-level
-    (and addressed by app *name*) so the call itself can ship to a
-    worker process when benchmark sessions fan out.
+    @property
+    def patches(self) -> int:
+        return len(self.pool)
 
-    ``rollout`` (with a ``store_path``) turns on staged rollout for
-    the session; the rollout bench gates that the digest's
-    equivalence/diagnosis keys match the rollout-off run exactly --
-    staged distribution must never change what a session diagnoses.
+    @property
+    def validated_patches(self) -> int:
+        return sum(1 for _, validated in self.pool.values() if validated)
 
-    ``sampling_rate`` arms GWP-ASan-style sampled guards (DESIGN.md
-    §15); the sampling bench gates that ``sampling_rate=0`` digests
-    stay byte-identical to this function's defaults."""
-    import time as _time
+    @property
+    def patched_triggers(self) -> int:
+        """How often the pool's preventive changes fired at their
+        call-sites, summed over the pool."""
+        return sum(count for count, _ in self.pool.values())
 
-    app = {a.name: a for a in all_apps()}[app_name]
-    wl = spaced_workload(app, triggers)
-    config = FirstAidConfig(workers=workers, telemetry=telemetry,
-                            supervisor=supervisor, vm_tier=vm_tier,
-                            search_policy=search_policy,
-                            rollout=rollout, store_path=store_path,
-                            sampling_rate=sampling_rate)
-    started = _time.perf_counter()
-    runtime, session, _ = run_first_aid(app, wl, config=config)
-    wall = _time.perf_counter() - started
+
+def run_app_session(app_name: str, triggers: int = 2, seed: int = 42,
+                    workload: Optional[Workload] = None,
+                    **config) -> SessionDigest:
+    """Run one app under ``FirstAidConfig(**config)`` and digest the
+    session.  The workload is :func:`spaced_workload` unless
+    ``workload`` overrides it.  Top-level (and addressed by app
+    *name*) so the call ships to a forked process as plain keyword
+    arguments (:func:`run_sessions`).
+
+    Every config field takes :class:`FirstAidConfig`'s default, so the
+    VM tier is the compiled one production runs unless the caller
+    passes ``vm_tier="reference"``."""
+    app = get_app(app_name)
+    if workload is None:
+        workload = spaced_workload(app, triggers, seed)
+    cfg = FirstAidConfig(**config)
+    started = time.perf_counter()
+    runtime, session, _ = run_first_aid(app, workload, config=cfg)
+    wall = time.perf_counter() - started
     recs = session.recoveries
+    stats = runtime.process.extension.sampling_stats
     digest = SessionDigest(
         app=app_name,
-        workers=workers,
+        workers=cfg.workers,
         reason=session.reason,
         recoveries=len(recs),
         succeeded=tuple(r.succeeded for r in recs),
@@ -297,7 +324,7 @@ def run_app_session(app_name: str, triggers: int = 2,
             r.report.render(redact_times=True) if r.report else None
             for r in recs),
         rungs=tuple(r.rung for r in recs),
-        search_policy=search_policy,
+        search_policy=cfg.search_policy,
         checkpoints=tuple(
             r.diagnosis.checkpoint.index
             if r.diagnosis and r.diagnosis.checkpoint else None
@@ -321,6 +348,18 @@ def run_app_session(app_name: str, triggers: int = 2,
         wall_s=wall,
         worker_failures=(runtime.executor.worker_failures
                          if runtime.executor else 0),
+        label=runtime._process_label,
+        pid=os.getpid(),
+        canary=runtime._canary,
+        pool={p.key: (p.trigger_count, p.validated)
+              for p in runtime.pool.patches()},
+        local_triggers=dict(runtime.policy.local_triggers),
+        first_failure_ns=min((r.failure.time_ns for r in recs),
+                             default=0),
+        first_detection_ns=stats.first_detection_ns if stats else 0,
+        sampled_prevented=runtime._sampled_prevented,
+        crashes=sum(1 for r in recs
+                    if r.failure.monitor != "sampled-detection"),
     )
     runtime.close()
     return digest
@@ -345,27 +384,30 @@ def _search_stat(diagnosis, key: str) -> int:
     return diagnosis.search_info.get(key, 0)
 
 
-def _session_task(spec: Tuple[str, int, int]) -> SessionDigest:
-    name, triggers, workers = spec
-    return run_app_session(name, triggers=triggers, workers=workers)
+def _run_spec(spec: dict) -> SessionDigest:
+    return run_app_session(**spec)
 
 
-def fan_out_sessions(app_names: List[str], triggers: int = 2,
-                     workers: int = 1,
-                     fan_workers: int = 1) -> List[SessionDigest]:
-    """Digest one session per app.  With ``fan_workers > 1`` whole
-    sessions run in worker processes concurrently; results always merge
-    in app order, so the output is backend-independent."""
-    specs = [(name, triggers, workers) for name in app_names]
-    if fan_workers <= 1:
-        return [_session_task(spec) for spec in specs]
+def run_sessions(specs: List[dict],
+                 parallel: bool) -> List[SessionDigest]:
+    """One digested session per spec (:func:`run_app_session` keyword
+    arguments), in spec order.  With ``parallel`` every spec runs at
+    once in its own forked OS process; without, one after another in
+    this process."""
+    if parallel and specs:
+        return _fork_map(_run_spec, specs, len(specs))
+    return [_run_spec(spec) for spec in specs]
+
+
+def _fork_map(fn, items: list, workers: int) -> list:
+    """``[fn(item) for item in items]`` across ``workers`` forked
+    processes.  ``fn`` must be module-level: it ships by name."""
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
     methods = mp.get_all_start_methods()
     ctx = mp.get_context("fork" if "fork" in methods else None)
-    with ProcessPoolExecutor(max_workers=fan_workers,
-                             mp_context=ctx) as pool:
-        return list(pool.map(_session_task, specs))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        return list(pool.map(fn, items))
 
 
 def _overhead_task(key: Tuple[str, str]) -> Tuple[Tuple[str, str],
@@ -385,14 +427,8 @@ def overhead_sweep(configs: Tuple[str, ...] = ("off", "ext", "full"),
     keys = [(s.name, c) for s in overhead_subjects() for c in configs]
     missing = [k for k in keys if k not in _RUN_CACHE]
     if workers > 1 and missing:
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else None)
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=ctx) as pool:
-            for key, run in pool.map(_overhead_task, missing):
-                _RUN_CACHE[key] = run
+        for key, run in _fork_map(_overhead_task, missing, workers):
+            _RUN_CACHE[key] = run
     else:
         for key in missing:
             _overhead_task(key)

@@ -23,9 +23,10 @@ Two measured, gateable claims ride on the sampling plane:
    have failed, and a strictly better fleet time-to-first-patch
    overall.
 
-A third gate (:func:`rate_zero_identity`) pins the off-switch:
-``sampling_rate=0`` session digests must be byte-identical
-(equivalence_key) to the defaults the seed produces.
+A third gate (:func:`rate_zero_identity`) pins the off-switch: a
+``sampling_rate=0`` session attaches no sampler, keeps no sampling
+stats and publishes beacons without a ``sampling`` section, while the
+same app at rate 1/64 has all three.
 
 Everything runs on simulated clocks; results are plain dataclasses so
 ``benchmarks/bench_sampling.py`` can JSON-dump and gate them.
@@ -33,15 +34,18 @@ Everything runs on simulated clocks; results are plain dataclasses so
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.apps.registry import get_app, real_bug_apps
-from repro.bench.harness import run_app_session, spaced_workload
+from repro.bench.harness import run_first_aid, run_sessions, spaced_workload
 from repro.checkpoint.manager import CheckpointManager
-from repro.core.runtime import FirstAidConfig, FirstAidRuntime
+from repro.core.runtime import FirstAidConfig
 from repro.heap.extension import ExtensionMode
 from repro.process import Process
+from repro.store import SharedPatchStore
 
 #: Rates the overhead experiment sweeps (1/N sampled allocations).
 OVERHEAD_RATES = (64, 128, 256)
@@ -288,21 +292,6 @@ def _follower_workload(app, index: int, seed: int):
         triggers=1, normal_after=40, seed=seed)
 
 
-def _would_fail_ns(app, workload) -> int:
-    """When the workload's trigger actually fires, measured by running
-    it with no store and no published patches: the first failure event
-    is the moment this process would have crashed in a fleet without a
-    pre-published patch."""
-    runtime = FirstAidRuntime(app.program(),
-                              input_tokens=workload.tokens,
-                              config=FirstAidConfig())
-    session = runtime.run()
-    when = min((r.failure.time_ns for r in session.recoveries),
-               default=0)
-    runtime.close()
-    return when
-
-
 def _ttfp_arm(app_name: str, store_path: str, rate: int,
               follower_workloads) -> TTFPArm:
     """One serial fleet: a leader (sampled when rate > 0) hits the bug
@@ -311,93 +300,62 @@ def _ttfp_arm(app_name: str, store_path: str, rate: int,
     prevented.  Serial on simulated clocks keeps everything
     deterministic; concurrency is reconstructed by comparing times on
     the shared simulated timeline."""
-    app = get_app(app_name)
-    wl = spaced_workload(app, triggers=1, seed=42)
-    leader = FirstAidRuntime(
-        app.program(), input_tokens=wl.tokens,
-        config=FirstAidConfig(store_path=store_path,
-                              process_label="leader-0",
-                              sampling_rate=rate))
-    session = leader.run()
-    first_failure_ns = min(
-        (r.failure.time_ns for r in session.recoveries),
-        default=0)
-    crashes = sum(1 for r in session.recoveries
-                  if r.failure.monitor != "sampled-detection")
-    stats = leader.process.extension.sampling_stats
-    first_detection_ns = stats.first_detection_ns if stats else 0
-    prevented = leader._sampled_prevented
-    survived = session.survived_all and session.reason != "died"
-    recoveries = len(session.recoveries)
-    leader.close()
-
-    followers_prevented = True
-    for i, fw in enumerate(follower_workloads, start=1):
-        follower = FirstAidRuntime(
-            app.program(), input_tokens=fw.tokens,
-            config=FirstAidConfig(store_path=store_path,
-                                  process_label=f"follower-{i}"))
-        fs = follower.run()
-        triggers = sum(p.trigger_count
-                       for p in follower.pool.patches())
-        if fs.recoveries or triggers == 0:
-            followers_prevented = False
-        follower.close()
-
-    from repro.store import SharedPatchStore
-    state = SharedPatchStore(store_path, app.program().name).load()
-    validated = [p for p in state.patches.values()
-                 if p.get("validated")]
+    leader, *followers = run_sessions(
+        [dict(app_name=app_name, triggers=1, store_path=store_path,
+              process_label="leader-0", sampling_rate=rate)]
+        + [dict(app_name=app_name, workload=fw, store_path=store_path,
+                process_label=f"follower-{i}")
+           for i, fw in enumerate(follower_workloads, start=1)],
+        parallel=False)
+    state = SharedPatchStore(store_path,
+                             get_app(app_name).program().name).load()
     ttfp_ns = min((int(p.get("created_time_ns", 0))
-                   for p in validated
-                   if int(p.get("created_time_ns", 0)) > 0),
+                   for p in state.patches.values()
+                   if p.get("validated")
+                   and int(p.get("created_time_ns", 0)) > 0),
                   default=0)
     return TTFPArm(
         sampled=rate > 0,
-        leader_recoveries=recoveries,
-        leader_crashes=crashes,
-        leader_survived=survived,
-        first_failure_ns=first_failure_ns,
-        first_detection_ns=first_detection_ns,
+        leader_recoveries=leader.recoveries,
+        leader_crashes=leader.crashes,
+        leader_survived=leader.survived,
+        first_failure_ns=leader.first_failure_ns,
+        first_detection_ns=leader.first_detection_ns,
         ttfp_ns=ttfp_ns,
-        fast_path_prevented=prevented,
-        followers=len(follower_workloads),
-        followers_prevented=followers_prevented)
+        fast_path_prevented=leader.sampled_prevented,
+        followers=len(followers),
+        followers_prevented=all(f.recoveries == 0
+                                and f.patched_triggers > 0
+                                for f in followers))
 
 
 def run_fleet_ttfp(apps: Tuple[str, ...] = TTFP_APPS,
-                   rate: int = TTFP_RATE, procs: int = 4,
-                   workdir: Optional[str] = None
+                   rate: int = TTFP_RATE, procs: int = 4
                    ) -> SamplingFleetResult:
     """Per app: the same ``procs``-process fleet with and without a
     sampled leader, on separate stores, plus one no-store run per
     follower workload to measure when it *would* have failed."""
-    import os
-    import tempfile
-    own = workdir is None
-    workdir = workdir or tempfile.mkdtemp(prefix="bench-sampling-")
     result = SamplingFleetResult(rate=rate, procs=procs, apps=[])
-    try:
+    with tempfile.TemporaryDirectory(prefix="bench-sampling-") as tmp:
         for app_name in apps:
             app = get_app(app_name)
             follower_wls = [_follower_workload(app, i, seed=42 + i)
                             for i in range(1, procs)]
-            would_fail = [_would_fail_ns(app, fw)
-                          for fw in follower_wls]
+            # When each follower's trigger would crash it: its workload
+            # run alone, with no store and no published patch.
+            would_fail = [d.first_failure_ns for d in run_sessions(
+                [dict(app_name=app_name, workload=fw)
+                 for fw in follower_wls], parallel=False)]
             unsampled = _ttfp_arm(
-                app_name, os.path.join(workdir, f"{app_name}-off.json"),
+                app_name, os.path.join(tmp, f"{app_name}-off.json"),
                 rate=0, follower_workloads=follower_wls)
             sampled = _ttfp_arm(
-                app_name, os.path.join(workdir, f"{app_name}-on.json"),
+                app_name, os.path.join(tmp, f"{app_name}-on.json"),
                 rate=rate, follower_workloads=follower_wls)
             result.apps.append(TTFPAppResult(
                 app=app_name, rate=rate, procs=procs,
                 follower_would_fail_ns=would_fail,
                 unsampled=unsampled, sampled=sampled))
-    finally:
-        if own:
-            import shutil
-            shutil.rmtree(workdir, ignore_errors=True)
     return result
 
 
@@ -407,19 +365,31 @@ def run_fleet_ttfp(apps: Tuple[str, ...] = TTFP_APPS,
 
 def rate_zero_identity(apps: Optional[Tuple[str, ...]] = None,
                        triggers: int = 1) -> dict:
-    """``sampling_rate=0`` must leave every session digest
-    byte-identical to the defaults (the pre-sampling seed behavior)."""
+    """The off-switch: a ``sampling_rate=0`` session attaches no
+    sampler and keeps no sampling stats -- so every sampling branch is
+    skipped and the session is the pre-sampling one -- and its beacons
+    carry no ``sampling`` section.  The same app at ``GATE_RATE`` must
+    show all three, so the check fails if the off-switch leaks."""
     names = list(apps) if apps \
         else [a.name for a in real_bug_apps()]
     mismatches = []
-    for name in names:
-        seed = run_app_session(name, triggers=triggers)
-        zero = run_app_session(name, triggers=triggers, sampling_rate=0)
-        if seed.equivalence_key() != zero.equivalence_key():
-            mismatches.append(name)
-    return {
-        "apps": names,
-        "triggers": triggers,
-        "mismatches": mismatches,
-        "gate_passed": not mismatches,
-    }
+    with tempfile.TemporaryDirectory(prefix="bench-rate0-") as tmp:
+        for name in names:
+            app = get_app(name)
+            seen = []
+            for r in (0, GATE_RATE):
+                runtime, _, _ = run_first_aid(
+                    app, spaced_workload(app, triggers),
+                    config=FirstAidConfig(
+                        store_path=os.path.join(tmp, f"{name}-{r}.json"),
+                        sampling_rate=r))
+                ext = runtime.process.extension
+                beacons = runtime.health.load().live_beacons().values()
+                runtime.close()
+                seen.append((ext.sampler is not None,
+                             ext.sampling_stats is not None,
+                             all("sampling" in b for b in beacons)))
+            if seen != [(False,) * 3, (True,) * 3]:
+                mismatches.append(name)
+    return {"apps": names, "triggers": triggers, "rate": GATE_RATE,
+            "mismatches": mismatches, "gate_passed": not mismatches}

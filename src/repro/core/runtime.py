@@ -38,7 +38,7 @@ from repro.errors import StoreError
 from repro.parallel.executor import make_executor
 from repro.parallel.tasks import PASS_REASONS, WINDOW_INTERVALS
 from repro.process import Process
-from repro.store import SharedPatchStore, TornWriteCrash
+from repro.store import SharedPatchStore
 from repro.util.events import EventLog
 from repro.vm.machine import RunReason, RunResult
 from repro.vm.program import Program
@@ -54,11 +54,6 @@ class FirstAidConfig:
     """Tunables, with the paper's experimental defaults."""
 
     checkpoint_interval: int = DEFAULT_INTERVAL      # 200 ms equivalent
-    #: Incremental (delta/keyframe) checkpointing: each checkpoint
-    #: stores only the pages dirtied since the previous one, with a
-    #: periodic full keyframe bounding the restore chain.  Disable to
-    #: reproduce the seed's full-copy behaviour for A/B measurements.
-    incremental_checkpoints: bool = True
     validate: bool = True
     quarantine_threshold: int = DEFAULT_THRESHOLD    # 1 MB
     #: Memory-pressure failsafe: total bytes runtime patches may hold
@@ -319,7 +314,6 @@ class FirstAidRuntime:
             self.process,
             interval=self.config.checkpoint_interval,
             events=self.events,
-            incremental=self.config.incremental_checkpoints,
             telemetry=self.telemetry,
             chaos=self.config.chaos,
         )
@@ -531,37 +525,14 @@ class FirstAidRuntime:
 
     def _health_publish(self, reason: str) -> None:
         """Publish a beacon; the health path must never take down the
-        session, so every failure -- torn writes, lock timeouts, a
-        quarantined channel -- degrades to a ``health.error`` event."""
+        session (:meth:`HealthChannel.publish_guarded`)."""
         if self.health is None:
             return
         beacon = self._health_beacon(reason)
-        try:
-            self.health.publish(beacon)
-        except TornWriteCrash as exc:
-            # The injected "publisher died mid-commit" left torn bytes
-            # on disk and our own (live-pid) lock abandoned; ordinary
-            # staleness rules would stall until stale_after, but we
-            # *know* the holder is gone -- it was this very call -- so
-            # break the lock and retry once: this process survived, and
-            # its beacon matters precisely under fault storms.  The
-            # retry quarantines the torn file and recovers from the
-            # backup, the same ladder the patch store hardens.
-            self.health.lock.force_break()
-            self.events.emit(0, "health.error", op="publish",
-                             error=str(exc))
-            try:
-                self.health.publish(beacon)
-            except Exception as exc:
-                self.events.emit(0, "health.error", op="republish",
-                                 error=str(exc))
-                return
-        except Exception as exc:
-            self.events.emit(0, "health.error", op="publish",
-                             error=str(exc))
-            return
-        self.events.emit(self.process.clock.now_ns, "health.published",
-                         seq=beacon.seq, reason=reason)
+        if self.health.publish_guarded(beacon):
+            self.events.emit(self.process.clock.now_ns,
+                             "health.published", seq=beacon.seq,
+                             reason=reason)
 
     # ------------------------------------------------------------------
     # main loop

@@ -34,6 +34,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.obs.metrics import Histogram
 from repro.store.base import SharedStateChannel
 from repro.store.faults import FaultPlan as StoreFaultPlan
+from repro.store.faults import TornWriteCrash
 from repro.store.locking import DEFAULT_STALE_AFTER
 
 BEACON_FORMAT = "first-aid-health-beacon"
@@ -337,6 +338,35 @@ class HealthChannel(SharedStateChannel):
         state = self._mutate(merge)
         self.publishes += 1
         return state
+
+    def publish_guarded(self, beacon: HealthBeacon) -> bool:
+        """:meth:`publish` for a process that must survive its health
+        path: every failure -- torn writes, lock timeouts, a
+        quarantined channel -- degrades to a ``health.error`` event.
+        Returns whether the beacon landed."""
+        try:
+            self.publish(beacon)
+        except TornWriteCrash as exc:
+            # The injected "publisher died mid-commit" abandoned our
+            # own live-pid lock.  We know the holder is gone -- it was
+            # this very call -- so break the lock and retry once: the
+            # retry quarantines the torn file and recovers from the
+            # backup, and this surviving process's beacon lands.
+            self.lock.force_break()
+            self._error("publish", exc)
+            try:
+                self.publish(beacon)
+            except Exception as exc:
+                self._error("republish", exc)
+                return False
+        except Exception as exc:
+            self._error("publish", exc)
+            return False
+        return True
+
+    def _error(self, op: str, exc: Exception) -> None:
+        if self.events is not None:
+            self.events.emit(0, "health.error", op=op, error=str(exc))
 
     def retire(self, process_ids: Iterable[str]) -> HealthState:
         """Drop processes from the fleet view and tombstone them, so a

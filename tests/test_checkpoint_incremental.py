@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.checkpoint.manager import CheckpointManager
-from repro.core.runtime import FirstAidConfig, FirstAidRuntime
+from repro.core.runtime import FirstAidRuntime
 from repro.apps.registry import get_app
 from repro.lang import compile_program
 from repro.process import Process
@@ -146,14 +146,19 @@ def test_external_restore_falls_back_safely():
 @pytest.mark.parametrize("name", ["bc", "m4"])
 def test_firstaid_recovery_equivalent_across_modes(name):
     """End-to-end: diagnosis-driven rollbacks under incremental
-    checkpointing recover exactly like full-copy checkpointing."""
+    checkpointing recover exactly like full-copy checkpointing (a
+    full-copy manager installed on the runtime)."""
     app = get_app(name)
     sessions = {}
     for incremental in (True, False):
         wl = app.workload(normal_before=40, triggers=1, normal_after=40)
-        config = FirstAidConfig(incremental_checkpoints=incremental)
-        runtime = FirstAidRuntime(app.program(), input_tokens=wl.tokens,
-                                  config=config)
+        runtime = FirstAidRuntime(app.program(), input_tokens=wl.tokens)
+        if not incremental:
+            runtime.manager = CheckpointManager(
+                runtime.process, interval=runtime.config.checkpoint_interval,
+                events=runtime.events, incremental=False,
+                telemetry=runtime.telemetry)
+        assert runtime.manager.incremental is incremental
         sessions[incremental] = (runtime, runtime.run())
     rt_inc, s_inc = sessions[True]
     rt_full, s_full = sessions[False]

@@ -191,7 +191,7 @@ def test_config_surface_is_pinned():
     """A new knob should retire an old one: adding a config field or a
     constructor argument has to edit these lists."""
     assert [f.name for f in dataclasses.fields(FirstAidConfig)] == [
-        "checkpoint_interval", "incremental_checkpoints", "validate",
+        "checkpoint_interval", "validate",
         "quarantine_threshold", "max_patch_memory", "store_path",
         "store_refresh_boundaries", "process_label", "health_faults",
         "entropy_seed", "workers", "telemetry", "max_events",

@@ -11,11 +11,9 @@ import json
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from repro.apps.registry import get_app, real_bug_apps
-from repro.bench.harness import run_app_session
+from repro.apps.registry import get_app
+from repro.bench.harness import spaced_workload
 from repro.chaos import ChaosPlan
 from repro.core.bugtypes import BugType
 from repro.core.runtime import FirstAidConfig, FirstAidRuntime
@@ -36,8 +34,6 @@ from repro.heap.quarantine import (
 from repro.obs.health import FleetHealthAggregator, HealthBeacon
 from repro.sampling import SampledDetection, SampleSelector, SamplingStats
 from tests.conftest import site
-
-APP_NAMES = [a.name for a in real_bug_apps()]
 
 
 # ---------------------------------------------------------------------
@@ -252,7 +248,6 @@ class TestFastPathEndToEnd:
         write, the fast path validates a patch from the detection, and
         the session never sees a crash-family failure."""
         app = get_app("pine")
-        from repro.bench.harness import spaced_workload
         wl = spaced_workload(app, triggers=1, seed=42)
         runtime = FirstAidRuntime(
             app.program(), input_tokens=wl.tokens,
@@ -291,20 +286,31 @@ class TestFastPathEndToEnd:
             runtime.close()
 
 
-_seed_keys = {}
-
-
 class TestRateZeroIdentity:
-    @settings(max_examples=len(APP_NAMES), deadline=None,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.data_too_large])
-    @given(name=st.sampled_from(APP_NAMES))
-    def test_rate_zero_is_byte_identical_to_seed(self, name):
-        if name not in _seed_keys:
-            _seed_keys[name] = run_app_session(
-                name, triggers=1).equivalence_key()
-        zero = run_app_session(name, triggers=1, sampling_rate=0)
-        assert zero.equivalence_key() == _seed_keys[name]
+    def test_rate_zero_attaches_no_sampler(self, tmp_path):
+        """The off-switch: at rate 0 nothing is attached -- no sampler,
+        no stats, no ``sampling`` beacon section -- so every sampling
+        branch is skipped and the session is the pre-sampling one.
+        The same app at 1/64 has all three, so a leak (say, a rate-0
+        selector attached anyway) fails here."""
+        app = get_app("pine")
+        wl = spaced_workload(app, triggers=1)
+        surface = {}
+        for rate in (0, 64):
+            runtime = FirstAidRuntime(
+                app.program(), input_tokens=wl.tokens,
+                config=FirstAidConfig(
+                    store_path=str(tmp_path / f"rate{rate}.json"),
+                    process_label="p", sampling_rate=rate))
+            runtime.run()
+            runtime.close()
+            ext = runtime.process.extension
+            beacon = runtime.health.load().live_beacons()["p"]
+            surface[rate] = (ext.sampler is not None,
+                             ext.sampling_stats is not None,
+                             "sampling" in beacon)
+        assert surface == {0: (False, False, False),
+                           64: (True, True, True)}
 
 
 # ---------------------------------------------------------------------
@@ -351,14 +357,14 @@ class TestSerialVsFork:
         aggregated health reports.  Holds only if sample selection is
         a pure function of (seed, rate, alloc_seq) -- no hash(), no
         RNG object state, nothing host-dependent."""
-        from repro.bench.fleet import run_fleet, run_fleet_serial
+        from repro.bench.fleet import run_fleet
         from repro.obs.health import aggregate_store
         fork_store = os.path.join(tmp_path, "fork.json")
         serial_store = os.path.join(tmp_path, "serial.json")
-        run_fleet("pine", fork_store, procs=2, triggers=1,
-                  leader_sampling_rate=64)
-        run_fleet_serial("pine", serial_store, procs=2, triggers=1,
+        fork = run_fleet("pine", fork_store, procs=2, triggers=1,
                          leader_sampling_rate=64)
+        serial = run_fleet("pine", serial_store, procs=2, triggers=1,
+                           leader_sampling_rate=64, parallel=False)
         fork_report = aggregate_store(fork_store).to_json()
         serial_report = aggregate_store(serial_store).to_json()
         assert json.dumps(fork_report, sort_keys=True) \
@@ -369,3 +375,17 @@ class TestSerialVsFork:
         follower = next(r for r in fork_report["processes"]
                         if r["process_id"].startswith("follower"))
         assert "sampling" not in follower
+
+        # The members' digests agree too: same behavior and the same
+        # fleet view; only the pid tells a forked member apart.
+        view = ("label", "canary", "pool", "local_triggers",
+                "first_failure_ns", "first_detection_ns",
+                "sampled_prevented", "crashes")
+        members = zip([fork.leader, *fork.followers],
+                      [serial.leader, *serial.followers])
+        for forked, inline in members:
+            assert forked.equivalence_key() == inline.equivalence_key()
+            assert [getattr(forked, f) for f in view] \
+                == [getattr(inline, f) for f in view]
+            assert forked.pid != inline.pid == os.getpid()
+        assert fork.leader.first_detection_ns > 0
