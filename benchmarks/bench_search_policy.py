@@ -1,27 +1,29 @@
-"""Search-policy benchmark: bandit-driven speculative patch search
-with the phase-1a determinism skip (DESIGN.md §13).
+"""Search-policy benchmark: the phase-1a determinism skip
+(DESIGN.md §13).
 
 The diagnostic engine's probe schedule has two policies
 (``FirstAidConfig.search_policy``):
 
 * ``fixed``   -- the seed's static schedule (baseline),
-* ``bandit``  -- skips the phase-1a plain probe when no RAND is
-  reachable, and shapes *speculation* with a deterministic UCB1
-  bandit: which checkpoint-walk wave sizes to dispatch and which half
-  of the call-site bisection to pre-execute on spare workers.
+* ``bandit``  -- the same schedule, minus the phase-1a plain probe
+  when no RAND is reachable.  The name is historical: both policies
+  speculate alike on spare workers (the checkpoint walk as one batch,
+  the call-site bisection as its breadth-first frontier).
 
 Three claims, measured over the seven real-bug applications:
 
 1. **Identity** -- every policy, serial or forked, produces a
    byte-identical diagnosis (``SessionDigest.diagnosis_key()``:
    verdicts, bug types, checkpoints, evidence, patch points,
-   validation outcomes).  Skipping and learning change how much work
-   the search does, never what it concludes.
+   validation outcomes).  Skipping changes how much work the search
+   does, never what it concludes.
 2. **Fewer re-executions** -- probes *consumed* (the serial decision
    path: every one is a rollback + re-execution) drop strictly on all
    seven apps under ``bandit``; probes *executed* (including
    speculation) at 2 workers drop strictly under ``bandit`` vs. the
-   fixed speculative schedule.
+   fixed schedule.  Both drops come from the skip alone: at 2 workers
+   ``bandit`` executes the fixed schedule's probes minus the skipped
+   one.
 3. **Recovery time** -- the simulated recovery clock (Table 3)
    improves on at least five of the seven apps under ``bandit``
    (observed: all seven).
@@ -44,7 +46,7 @@ if __name__ == "__main__":  # script mode without PYTHONPATH=src
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.apps.registry import real_bug_apps
-from repro.bench.harness import run_app_session
+from repro.bench.harness import host_info, run_app_session
 
 #: Simulated recovery time must improve on at least this many apps.
 RECOVERY_IMPROVE_GATE = 5
@@ -156,9 +158,14 @@ def test_recovery_time_improves(once):
 
 def _render(results: dict) -> str:
     lines = [f"{'app':<12} {'consumed@1':>13}   {'executed@2':>13}   "
-             f"{'sim recovery ms':>22}   identical",
+             f"{'sim recovery ms @1':>22}   {'sim recovery ms @2':>22}"
+             f"   identical",
              f"{'':<12} {'fixed bandit':>13}   {'fixed bandit':>13}   "
-             f"{'fixed -> bandit':>22}"]
+             f"{'fixed -> bandit':>22}   {'fixed -> bandit':>22}"]
+
+    def ms(digest):
+        return sum(digest.recovery_time_ns) / 1e6
+
     for name, per in results.items():
         same = len({d.diagnosis_key() for d in per.values()}) == 1
         lines.append(
@@ -167,8 +174,8 @@ def _render(results: dict) -> str:
             f"{sum(per['bandit@1'].probes_consumed):>6}"
             f"   {sum(per['fixed@2'].probes_executed):>6} "
             f"{sum(per['bandit@2'].probes_executed):>6}"
-            f"   {sum(per['fixed@1'].recovery_time_ns) / 1e6:>10.1f} -> "
-            f"{sum(per['bandit@1'].recovery_time_ns) / 1e6:>8.1f}"
+            f"   {ms(per['fixed@1']):>10.1f} -> {ms(per['bandit@1']):>8.1f}"
+            f"   {ms(per['fixed@2']):>10.1f} -> {ms(per['bandit@2']):>8.1f}"
             f"   {'yes' if same else 'NO'}")
     return "\n".join(lines)
 
@@ -197,8 +204,10 @@ def main(argv=None) -> int:
 
     total_pruned = sum(sum(d["bandit@1"].probes_pruned)
                        for d in results.values())
+    host = host_info()
     payload = {
         "benchmark": "search_policy",
+        "host": host,
         "apps": list(results),
         "configs": [list(c) for c in CONFIGS],
         "metric_note": (
@@ -206,7 +215,9 @@ def main(argv=None) -> int:
             "rollback + re-execution); probes executed includes "
             "speculation discarded by the consume path, so it is the "
             "spare-core work bill at 2 workers; recovery times are on "
-            "the deterministic simulated clock (Table 3)"),
+            "the deterministic simulated clock (Table 3), so they do "
+            f"not depend on the host's {host['cpus']} CPU "
+            f"core{'' if host['cpus'] == 1 else 's'}"),
         "gates": report,
         "total_probes_pruned_bandit": total_pruned,
         "per_app": {

@@ -4,6 +4,7 @@ the cached three-configuration overhead sweep."""
 from __future__ import annotations
 
 import os
+import platform
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -23,6 +24,13 @@ from repro.workloads import ALLOC_INTENSIVE, SPEC_INT2000, build_kernel
 #: Failure-window length used to space triggers so each one is a
 #: separate failure (3 checkpoint intervals, as in diagnosis).
 WINDOW_INSTRS = 3 * DEFAULT_INTERVAL
+
+
+def host_info() -> Dict[str, object]:
+    """The host a bench record was measured on: the CPU cores this
+    process may run on and the Python version."""
+    return {"cpus": len(os.sched_getaffinity(0)),
+            "python": platform.python_version()}
 
 
 def spaced_workload(app: App, triggers: int = 2,
@@ -212,8 +220,8 @@ class SessionDigest:
     wall_s: float = 0.0
     worker_failures: int = 0
     # -- search policy (repro.search).  Probe counts are excluded from
-    #    both keys: the whole point of bandit search is doing less work
-    #    for the same diagnosis. --
+    #    both keys: the point of the bandit policy's skip is doing less
+    #    work for the same diagnosis. --
     search_policy: str = "fixed"
     checkpoints: Tuple[Optional[int], ...] = ()
     evidence: Tuple[Tuple[str, ...], ...] = ()

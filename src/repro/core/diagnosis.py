@@ -65,6 +65,7 @@ from repro.obs.telemetry import Telemetry
 from repro.parallel.tasks import (PASS_REASONS, WINDOW_INTERVALS,
                                   ReexecTask, encode_state)
 from repro.process import Process
+from repro.search.state import check_policy, may_skip_plain_probe
 from repro.util.callsite import CallSite
 from repro.util.events import EventLog
 from repro.vm.machine import RunResult
@@ -259,7 +260,7 @@ class DiagnosticEngine:
                  telemetry: Optional[Telemetry] = None,
                  executor=None,
                  chaos=None,
-                 search=None):
+                 search_policy: str = "fixed"):
         if site_search not in ("binary", "linear"):
             raise ValueError(f"site_search must be 'binary' or "
                              f"'linear', not {site_search!r}")
@@ -294,15 +295,9 @@ class DiagnosticEngine:
         #: Optional :class:`~repro.chaos.ChaosPlan`; consulted once per
         #: probe, never per instruction.
         self.chaos = chaos
-        #: :class:`~repro.search.state.SearchState` -- search policy
-        #: and bandit arms.  The default is the fixed
-        #: (legacy) schedule.  Imported lazily: repro.core's package
-        #: init pulls in this module, and repro.search depends on
-        #: repro.core.bugtypes.
-        if search is None:
-            from repro.search.state import SearchState
-            search = SearchState()
-        self.search = search
+        #: Search policy (repro.search): "bandit" adds the phase-1a
+        #: determinism skip to the one probe schedule.
+        self.search_policy = check_policy(search_policy)
         #: Disable the phase-1a "plain replay must reproduce" prune.
         #: The fallback after a rejected sampled fast path sets this:
         #: the failing run carried a guard the plain replay lacks, so
@@ -327,18 +322,18 @@ class DiagnosticEngine:
         self._probes_executed = 0
         self._probes_consumed = 0
         self._probes_pruned = 0
-        self._m_policy.set(_POLICY_CODES[self.search.policy])
+        self._m_policy.set(_POLICY_CODES[self.search_policy])
         with self.telemetry.span("diagnosis") as span:
             diag = self._diagnose(failure)
             diag.search_info = {
-                "policy": self.search.policy,
+                "policy": self.search_policy,
                 "probes_executed": self._probes_executed,
                 "probes_consumed": self._probes_consumed,
                 "probes_pruned": self._probes_pruned,
             }
             span.set(verdict=diag.verdict.value,
                      rollbacks=diag.rollbacks,
-                     search_policy=self.search.policy,
+                     search_policy=self.search_policy,
                      probes_executed=self._probes_executed,
                      probes_consumed=self._probes_consumed,
                      probes_pruned=self._probes_pruned)
@@ -357,7 +352,7 @@ class DiagnosticEngine:
         net: the caller falls back to the full pipeline when it
         rejects the detection-seeded patch."""
         det = failure.detection
-        self._m_policy.set(_POLICY_CODES[self.search.policy])
+        self._m_policy.set(_POLICY_CODES[self.search_policy])
         with self.telemetry.span("diagnosis.sampled") as span:
             diag = Diagnosis(verdict=Verdict.NON_PATCHABLE,
                              failure=failure)
@@ -385,7 +380,7 @@ class DiagnosticEngine:
                 "sampled fast path: change-group seeded from the "
                 "guard's detection evidence (phases 1-2 skipped)")
             diag.search_info = {
-                "policy": self.search.policy,
+                "policy": self.search_policy,
                 "probes_executed": 0,
                 "probes_consumed": 0,
                 "probes_pruned": 0,
@@ -418,7 +413,7 @@ class DiagnosticEngine:
         # (no reachable RAND: probe outcomes are pure functions of
         # checkpoint and policy) this probe must reproduce the failure
         # -- skip it.
-        if self.search.may_skip_plain_probe(self.process.program) \
+        if may_skip_plain_probe(self.search_policy, self.process.program) \
                 and len(self.pool) == 0 and not self.force_plain_probe:
             self._note_pruned(
                 diag, "1a", "deterministic program with empty patch "
@@ -438,58 +433,29 @@ class DiagnosticEngine:
         # Phase 1b: all-preventive probes, newest checkpoint first,
         # with heap marking to expose pre-checkpoint bug triggers.
         # Probes from different checkpoints are independent, so the
-        # whole walk dispatches speculatively; the serial early-break
-        # simply leaves the rest of the batch unconsumed.  Under the
-        # bandit policy the walk is split into waves sized from the
-        # observed depth history instead of one full-width batch --
-        # consumption order and salts are unchanged (wave k+1's batch
-        # base is exactly the salt wave k's last consume set), so this
-        # shapes speculation cost only.
+        # whole walk dispatches speculatively as one batch; the serial
+        # early-break simply leaves the rest of the batch unconsumed.
         chosen: Optional[Checkpoint] = None
-        bandit = (self.search.bandit
-                  if self.executor is not None
-                  and self.executor.workers > 1 else None)
-        if bandit is not None:
-            waves = bandit.plan_walk_waves(len(candidates),
-                                           self.executor.workers)
-        else:
-            waves = [len(candidates)]
-        pos = 0
-        consumed_depth = 0
-        waves_used = 0
-        budget_hit = False
-        for width in waves:
-            wave = candidates[pos:pos + width]
-            batch = self._dispatch(
-                [_ProbeReq(cp, _all_preventive(), j + 1,
-                           mark=self.use_heap_marking)
-                 for j, cp in enumerate(wave)],
-                window_end)
-            waves_used += 1
-            try:
-                for j, checkpoint in enumerate(wave):
-                    if self._rollbacks >= self.max_rollbacks:
-                        budget_hit = True
-                        break
-                    outcome = batch.consume(j)
-                    consumed_depth = pos + j + 1
-                    if outcome.passed and not outcome.mark_corruptions:
-                        chosen = checkpoint
-                        break
-                    if outcome.mark_corruptions:
-                        diag.notes.append(
-                            f"checkpoint #{checkpoint.index}: heap "
-                            f"marking exposed "
-                            f"{len(outcome.mark_corruptions)} "
-                            f"pre-checkpoint corruption(s); trying "
-                            f"earlier")
-            finally:
-                batch.finish()
-            pos += width
-            if chosen is not None or budget_hit:
-                break
-        if bandit is not None:
-            bandit.observe_walk(consumed_depth, waves_used - 1)
+        batch = self._dispatch(
+            [_ProbeReq(cp, _all_preventive(), j + 1,
+                       mark=self.use_heap_marking)
+             for j, cp in enumerate(candidates)],
+            window_end)
+        try:
+            for j, checkpoint in enumerate(candidates):
+                if self._rollbacks >= self.max_rollbacks:
+                    break
+                outcome = batch.consume(j)
+                if outcome.passed and not outcome.mark_corruptions:
+                    chosen = checkpoint
+                    break
+                if outcome.mark_corruptions:
+                    diag.notes.append(
+                        f"checkpoint #{checkpoint.index}: heap marking "
+                        f"exposed {len(outcome.mark_corruptions)} "
+                        f"pre-checkpoint corruption(s); trying earlier")
+        finally:
+            batch.finish()
         if chosen is None:
             diag.rollbacks = self._rollbacks
             diag.notes.append(
@@ -868,50 +834,28 @@ class DiagnosticEngine:
         """Speculative halving across workers.
 
         Each bisect probe depends on the previous answer, so the round
-        cannot batch linearly; instead it dispatches a slice of the
-        *decision tree* (up to ``workers`` nodes, each node probing the
-        first half of its candidate range) and then walks the serial
-        decision path through the precomputed results.  Tree nodes at
-        the same depth share a salt offset -- serial execution would
-        give the depth-d probe salt base+d+1 whichever branch it took
-        -- so the consumed path reproduces the serial salt sequence
-        exactly and the unvisited branches are discarded speculation.
-
-        The fixed schedule's slice is the breadth-first frontier
-        (resolving ~log2(fanout) levels per dispatch).  Under the
-        bandit policy the slice is instead the UCB1-*predicted*
-        root-to-leaf path (resolving up to ``fanout`` levels per
-        dispatch when predictions hold); a misprediction just falls
-        off the slice and redispatches from the surviving node --
-        identical consumed decisions either way, latency-only regret.
+        cannot batch linearly.  Instead it dispatches the breadth-first
+        frontier of the *decision tree* (up to ``workers`` nodes, each
+        probing the first half of its candidate range; ~log2(fanout)
+        levels per dispatch), then walks the serial decision path
+        through the precomputed results.  Tree nodes at the same depth
+        share a salt offset -- serial execution would give the depth-d
+        probe salt base+d+1 whichever branch it took -- so the consumed
+        path reproduces the serial salt sequence exactly and the
+        unvisited branches are discarded speculation.
         """
         candidates = tuple(remaining)
         fanout = max(2, self.executor.workers)
-        bandit = self.search.bandit
-        base_depth = 0
         while len(candidates) > 1:
             nodes: List[Tuple[int, tuple]] = []
-            preds: Dict[tuple, bool] = {}
-            if bandit is not None:
-                node = candidates
-                d = 0
-                while len(node) > 1 and len(nodes) < fanout:
-                    nodes.append((d, node))
-                    first = bandit.predict_first_half_fails(
-                        bug_type, base_depth + d)
-                    preds[node] = first
-                    node = (node[:len(node) // 2] if first
-                            else node[len(node) // 2:])
-                    d += 1
-            else:
-                queue: List[Tuple[int, tuple]] = [(0, candidates)]
-                while queue and len(nodes) < fanout:
-                    depth, cand = queue.pop(0)
-                    if len(cand) <= 1:
-                        continue
-                    nodes.append((depth, cand))
-                    queue.append((depth + 1, cand[:len(cand) // 2]))
-                    queue.append((depth + 1, cand[len(cand) // 2:]))
+            queue: List[Tuple[int, tuple]] = [(0, candidates)]
+            while queue and len(nodes) < fanout:
+                depth, cand = queue.pop(0)
+                if len(cand) <= 1:
+                    continue
+                nodes.append((depth, cand))
+                queue.append((depth + 1, cand[:len(cand) // 2]))
+                queue.append((depth + 1, cand[len(cand) // 2:]))
             reqs = [
                 _ProbeReq(checkpoint,
                           self._search_policy(
@@ -921,25 +865,17 @@ class DiagnosticEngine:
                 for depth, cand in nodes]
             index = {cand: i for i, (_, cand) in enumerate(nodes)}
             batch = self._dispatch(reqs, window_end)
-            consumed_here = 0
             try:
                 node = candidates
                 while len(node) > 1 and node in index:
                     if self._rollbacks >= self.max_rollbacks:
                         return None
                     outcome = batch.consume(index[node])
-                    failed_first = not outcome.passed
-                    if bandit is not None:
-                        bandit.observe_bisect(
-                            bug_type, base_depth + consumed_here,
-                            failed_first, preds.get(node))
-                    consumed_here += 1
                     half = node[:len(node) // 2]
-                    node = (half if failed_first
+                    node = (half if not outcome.passed
                             else node[len(node) // 2:])
             finally:
                 batch.finish()
-            base_depth += consumed_here
             candidates = node
         return candidates[0]
 

@@ -38,6 +38,7 @@ from repro.errors import StoreError
 from repro.parallel.executor import make_executor
 from repro.parallel.tasks import PASS_REASONS, WINDOW_INTERVALS
 from repro.process import Process
+from repro.search.state import check_policy
 from repro.store import SharedPatchStore
 from repro.util.events import EventLog
 from repro.vm.machine import RunReason, RunResult
@@ -144,12 +145,12 @@ class FirstAidConfig:
     #: against.
     vm_tier: str = "compiled"
     #: Diagnosis search policy (repro.search, DESIGN.md §13).
-    #: "fixed" is the legacy schedule; "bandit" skips the phase-1a
-    #: plain probe for a program with no reachable RAND (fewer probes
-    #: consumed) and shapes the parallel executor's speculation with a
-    #: deterministic UCB1 bandit (fewer probes executed at
-    #: workers > 1).  The produced Diagnosis is byte-identical under
-    #: both.
+    #: "fixed" is the legacy schedule; "bandit" runs the same schedule
+    #: and skips the phase-1a plain probe for a program with no
+    #: reachable RAND (one probe fewer, consumed and executed).  The
+    #: produced Diagnosis is byte-identical under both.  The name
+    #: "bandit" is historical: both policies speculate alike at
+    #: workers > 1.
     search_policy: str = "fixed"
     #: Health-gated staged rollout (repro.rollout, DESIGN.md §14).
     #: Off (default): every store patch is adopted by everyone -- the
@@ -221,6 +222,9 @@ class FirstAidRuntime:
                  input_tokens: Optional[Iterable[int]] = None,
                  config: Optional[FirstAidConfig] = None):
         self.config = config or FirstAidConfig()
+        # An unknown policy fails here, not at the first failure,
+        # where the degradation ladder would absorb the error.
+        check_policy(self.config.search_policy)
         self.telemetry = Telemetry(enabled=self.config.telemetry)
         self.events = EventLog(max_events=self.config.max_events)
         self.pool = PatchPool(program.name)
@@ -280,13 +284,6 @@ class FirstAidRuntime:
             events=self.events, telemetry=self.telemetry,
             executor=self.executor, store=self.store,
             chaos=self.config.chaos)
-        #: Session-owned search state: bandit arm statistics persisting
-        #: across failures.  Imported lazily -- repro.search depends on
-        #: repro.core.bugtypes, and this module is part of repro.core's
-        #: package init.
-        from repro.search.state import SearchState
-        self.search = SearchState(self.config.search_policy,
-                                  seed=self.config.entropy_seed)
         self.recoveries: List[RecoveryRecord] = []
         self._recovery_supervisor = None
 
@@ -692,7 +689,7 @@ class FirstAidRuntime:
             telemetry=self.telemetry,
             executor=self.executor,
             chaos=self.config.chaos,
-            search=self.search)
+            search_policy=self.config.search_policy)
         detection = failure.detection
         use_fast = (fast_path and detection is not None
                     and getattr(detection, "site", None) is not None)

@@ -182,8 +182,10 @@ class _ForkBatch:
             pool = executor._ensure_pool()
             self._futures: List[Optional[object]] = [
                 pool.submit(_worker_run, task) for task in tasks]
-        except BaseException:
-            # Pool already broken at submit time: fall back wholesale.
+        except Exception:
+            # Pool already broken at submit time (BrokenProcessPool,
+            # RuntimeError): fall back wholesale.  A KeyboardInterrupt
+            # or SystemExit propagates; the runtime closes the pool.
             executor._discard_pool()
             self._futures = [None] * len(tasks)
         #: every dispatched task runs (speculation has no brake), so a

@@ -1,30 +1,23 @@
 """Search policies for the diagnostic engine (DESIGN.md §13).
 
-The diagnostic engine's probe schedule is a search over (change-group,
-call-site-partition) candidates.  This package adds two things to the
-fixed schedule:
-
-* :func:`~repro.search.state.analyze_program` -- a call-graph scan for
-  RAND.  A program with no reachable RAND is deterministic, so with an
-  empty patch pool the phase-1a plain re-execution must reproduce the
-  failure and is skipped.
-* :mod:`repro.search.bandit` -- a deterministic bandit (UCB1 branch
-  arms over the bisection tree, counterfactual-cost wave sizing for the
-  checkpoint walk) that allocates the parallel executor's speculative
-  worker slots to the most promising probes.  It shapes *speculation
-  only*: the consumed decision path -- and therefore the diagnosis --
-  is byte-identical to the fixed schedule.
-
-:class:`~repro.search.state.SearchState` ties both together and is
-owned by the runtime so arm statistics persist across failures.
+Both policies run one probe schedule, with one speculation schedule at
+workers > 1.  ``"bandit"`` adds the phase-1a determinism skip:
+:func:`~repro.search.state.analyze_program` is a call-graph scan for
+RAND.  A program with no reachable RAND is deterministic, so with an
+empty patch pool the phase-1a plain re-execution must reproduce the
+failure and is skipped.
 """
 
-from repro.search.bandit import SearchBandit
-from repro.search.state import SEARCH_POLICIES, SearchState, analyze_program
+from repro.search.state import (
+    SEARCH_POLICIES,
+    analyze_program,
+    check_policy,
+    may_skip_plain_probe,
+)
 
 __all__ = [
     "SEARCH_POLICIES",
-    "SearchState",
-    "SearchBandit",
     "analyze_program",
+    "check_policy",
+    "may_skip_plain_probe",
 ]

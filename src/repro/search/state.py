@@ -1,26 +1,29 @@
-"""Session-level search configuration and the determinism scan.
+"""The search policies and the determinism scan.
 
-One :class:`SearchState` is owned by the runtime (or constructed ad hoc
-by tests) and handed to every :class:`~repro.core.diagnosis.DiagnosticEngine`
-it creates, so bandit arm statistics persist across failures.
-:func:`analyze_program` is the one static rule the engine applies
-(DESIGN.md §13): the scan is a few tens of microseconds, so it runs per
-diagnosis rather than being memoised.
+:func:`analyze_program` is the one static rule the diagnostic engine
+applies (DESIGN.md §13): the scan is a few tens of microseconds, so it
+runs per diagnosis rather than being memoised.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import ReproError
-from repro.search.bandit import SearchBandit
 from repro.vm import isa
 from repro.vm.program import Program
 
-#: ``fixed``  -- the legacy schedule, untouched (baseline / ablation).
-#: ``bandit`` -- the phase-1a determinism skip plus bandit-shaped
-#: speculation.
+#: ``fixed``  -- the seed schedule (baseline / ablation).
+#: ``bandit`` -- the same schedule plus the phase-1a determinism skip
+#: (a historical name, DESIGN.md §13).
 SEARCH_POLICIES = ("fixed", "bandit")
+
+
+def check_policy(policy: str) -> str:
+    """``policy`` itself when it names a search policy."""
+    if policy not in SEARCH_POLICIES:
+        raise ReproError(
+            f"unknown search policy {policy!r}; "
+            f"expected one of {SEARCH_POLICIES}")
+    return policy
 
 
 def analyze_program(program: Program) -> bool:
@@ -43,20 +46,8 @@ def analyze_program(program: Program) -> bool:
     return True
 
 
-class SearchState:
-    """Policy + (optional) bandit."""
-
-    def __init__(self, policy: str = "fixed", seed: int = 1):
-        if policy not in SEARCH_POLICIES:
-            raise ReproError(
-                f"unknown search policy {policy!r}; "
-                f"expected one of {SEARCH_POLICIES}")
-        self.policy = policy
-        self.bandit: Optional[SearchBandit] = (
-            SearchBandit(seed) if policy == "bandit" else None)
-
-    def may_skip_plain_probe(self, program: Program) -> bool:
-        """May phase 1a's plain re-execution be skipped for ``program``?
-        Never under the fixed policy, which does not even run the
-        scan; under ``bandit`` when the program is deterministic."""
-        return self.bandit is not None and analyze_program(program)
+def may_skip_plain_probe(policy: str, program: Program) -> bool:
+    """May phase 1a's plain re-execution be skipped for ``program``?
+    Never under ``fixed``, which does not even run the scan; under
+    ``bandit`` when the program is deterministic."""
+    return policy == "bandit" and analyze_program(program)

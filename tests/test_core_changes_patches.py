@@ -219,8 +219,8 @@ class TestRoundTripFidelity:
         assert rebuilt.patches()[0].trigger_count == 9
 
     def test_copy_contract_matches_wire_form(self):
-        """from_patches(to_json()) must honor the same contract as
-        PatchPool.copy(): same patches, live counts, decoupled."""
+        """from_patches(to_json()) is the frozen copy workers run
+        against: same patches, live counts, decoupled."""
         pool = PatchPool("app")
         patch = pool.new_patch(BugType.DOUBLE_FREE, site(("d", 4)))
         patch.trigger_count = 5

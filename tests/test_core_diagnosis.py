@@ -9,7 +9,6 @@ from repro.core.diagnosis import DiagnosticEngine, Verdict
 from repro.core.patches import PatchPool
 from repro.heap.extension import ExtensionMode
 from repro.monitors import default_monitors
-from repro.search import SearchState
 from repro.vm.machine import RunReason
 from tests.conftest import make_process
 
@@ -327,7 +326,7 @@ def test_nondeterministic_bug_detected(policy):
             if failure:
                 break
         engine = DiagnosticEngine(process, manager, PatchPool("t"),
-                                  search=SearchState(policy))
+                                  search_policy=policy)
         diagnosis = engine.diagnose(failure)
         assert diagnosis.search_info["probes_pruned"] == 0
         verdicts.append(diagnosis.verdict)

@@ -186,38 +186,6 @@ class TestTaskRoundTrip:
 
 
 # ---------------------------------------------------------------------
-# frozen patch pools: clones are isolated from live installs
-# ---------------------------------------------------------------------
-
-class TestFrozenPoolClone:
-    def test_clone_policy_does_not_see_later_installs(self):
-        from repro.core.bugtypes import BugType
-        from repro.core.patches import PatchPolicy
-
-        process = make_process(OVERFLOW_APP, tokens=[8, 0], name="frz")
-        pool = PatchPool("frz")
-        process.extension.policy = PatchPolicy(pool)
-        clone = process.clone()
-        pool.new_patch(BugType.BUFFER_OVERFLOW, site(("main", 2)))
-        assert len(pool) == 1
-        assert len(clone.extension.policy._pool) == 0
-        assert clone.extension.policy._pool is not pool
-
-    def test_clone_trigger_counts_do_not_leak_back(self):
-        from repro.core.bugtypes import BugType
-        from repro.core.patches import PatchPolicy
-
-        process = make_process(OVERFLOW_APP, tokens=[8, 0], name="frz2")
-        pool = PatchPool("frz2")
-        patch = pool.new_patch(BugType.BUFFER_OVERFLOW, site(("main", 2)))
-        process.extension.policy = PatchPolicy(pool)
-        clone = process.clone()
-        clone_patch = clone.extension.policy._pool.get(patch.patch_id)
-        clone_patch.trigger_count += 5
-        assert patch.trigger_count == 0
-
-
-# ---------------------------------------------------------------------
 # backend equivalence
 # ---------------------------------------------------------------------
 
@@ -329,6 +297,33 @@ class TestWorkerDeath:
             [b.value for b in reference.bug_types]
         assert [p.describe() for p in diagnosis.patches] == \
             [p.describe() for p in reference.patches]
+
+    def test_interrupt_during_pool_start_propagates(self, monkeypatch):
+        """A broken pool falls back in-process; a Ctrl-C while the pool
+        starts reaches the caller instead of being absorbed."""
+        process, manager, failure = overflow_failure()
+        task = probe_task(process, manager.checkpoints[0],
+                          failure.instr_count + INTERVAL)
+        executor = ForkExecutor(2, process.program)
+
+        def start(exc):
+            def _ensure_pool():
+                raise exc
+            return _ensure_pool
+
+        try:
+            monkeypatch.setattr(executor, "_ensure_pool",
+                                start(RuntimeError("pool start failed")))
+            batch = executor.submit([task])
+            assert outcome_key(batch.result(0)) == \
+                outcome_key(run_task(process.program, task))
+            assert executor.worker_failures == 1
+            monkeypatch.setattr(executor, "_ensure_pool",
+                                start(KeyboardInterrupt()))
+            with pytest.raises(KeyboardInterrupt):
+                executor.submit([task])
+        finally:
+            executor.close()
 
 
 # ---------------------------------------------------------------------

@@ -6,9 +6,10 @@ verdict, bug types, chosen checkpoint, evidence sites and details,
 patch points -- and deliberately excludes how much work it took
 (rollbacks, probe counts): doing less work for the same answer is the
 point.  A hypothesis property test sweeps randomized workload shapes
-and seeds across the crafted bug apps; a repeated-run test pins full
-determinism of the bandit (same seed => same arm pulls => same probe
-order)."""
+across the crafted bug apps; a repeated-run test pins full
+determinism of the speculative schedule, and a session test checks
+that at two workers ``bandit`` runs the fixed schedule minus the
+skipped probe."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,6 @@ from repro.core.diagnosis import DiagnosticEngine, Verdict
 from repro.core.patches import PatchPool
 from repro.monitors import default_monitors
 from repro.parallel.executor import make_executor
-from repro.search import SearchState
 from repro.vm.machine import RunReason
 from tests.conftest import make_process
 from tests.test_core_diagnosis import (
@@ -43,10 +43,9 @@ APPS = {
 }
 
 
-def diagnose_with(source, tokens, policy, workers=1, seed=1,
-                  name="t"):
-    """Run to the first failure and diagnose under one search policy.
-    Returns (diagnosis, search_state, engine)."""
+def diagnose_with(source, tokens, policy, workers=1, name="t"):
+    """Run to the first failure and diagnose under one search
+    policy."""
     process = make_process(source, tokens=tokens, name=name)
     manager = CheckpointManager(process, interval=INTERVAL,
                                 adaptive=False)
@@ -59,15 +58,14 @@ def diagnose_with(source, tokens, policy, workers=1, seed=1,
             break
     assert failure is not None
     pool = PatchPool(name)
-    search = SearchState(policy, seed=seed)
     executor = make_executor(workers, process.program)
     engine = DiagnosticEngine(process, manager, pool,
                               max_checkpoint_search=8,
                               window_intervals=3,
                               executor=executor,
-                              search=search)
+                              search_policy=policy)
     try:
-        return engine.diagnose(failure), search, engine
+        return engine.diagnose(failure)
     finally:
         if executor is not None:
             executor.close()
@@ -96,18 +94,18 @@ def digest(diagnosis):
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_policies_agree_serial(app):
     source, tokens = APPS[app]
-    base, _, _ = diagnose_with(source, tokens, "fixed")
+    base = diagnose_with(source, tokens, "fixed")
     assert base.verdict is Verdict.PATCHED
-    diag, _, _ = diagnose_with(source, tokens, "bandit")
+    diag = diagnose_with(source, tokens, "bandit")
     assert digest(diag) == digest(base), app
 
 
 @pytest.mark.parametrize("app", ["overflow", "dangling_read"])
 def test_policies_agree_speculative(app):
     source, tokens = APPS[app]
-    base, _, _ = diagnose_with(source, tokens, "fixed")
+    base = diagnose_with(source, tokens, "fixed")
     for policy in ("fixed", "bandit"):
-        diag, _, _ = diagnose_with(source, tokens, policy, workers=2)
+        diag = diagnose_with(source, tokens, policy, workers=2)
         assert digest(diag) == digest(base), (app, policy)
 
 
@@ -116,23 +114,22 @@ def test_pruned_consumes_strictly_fewer_probes(app):
     """First diagnosis, empty pool, deterministic program: the bandit
     policy's phase-1a skip alone guarantees a strict win."""
     source, tokens = APPS[app]
-    fixed, _, _ = diagnose_with(source, tokens, "fixed")
-    bandit, _, _ = diagnose_with(source, tokens, "bandit")
+    fixed = diagnose_with(source, tokens, "fixed")
+    bandit = diagnose_with(source, tokens, "bandit")
     assert (bandit.search_info["probes_consumed"]
             < fixed.search_info["probes_consumed"])
     assert bandit.search_info["probes_pruned"] == 1
 
 
 # ---------------------------------------------------------------------
-# hypothesis sweep: randomized workload shapes and seeds
+# hypothesis sweep: randomized workload shapes
 # ---------------------------------------------------------------------
 
 @given(app=st.sampled_from(sorted(APPS)),
        prefix=st.integers(min_value=0, max_value=12),
-       suffix=st.integers(min_value=1, max_value=12),
-       seed=st.integers(min_value=1, max_value=2**16))
+       suffix=st.integers(min_value=1, max_value=12))
 @settings(max_examples=20, deadline=None)
-def test_property_policies_agree(app, prefix, suffix, seed):
+def test_property_policies_agree(app, prefix, suffix):
     source, base_tokens = APPS[app]
     # keep the trigger subsequence, randomize the benign padding
     trigger = [t for t in base_tokens if t != 0][prefix and 0:]
@@ -140,36 +137,24 @@ def test_property_policies_agree(app, prefix, suffix, seed):
     tokens = [normal] * prefix + trigger + [normal] * suffix + [0]
     results = {}
     for policy in ("fixed", "bandit"):
-        diag, _, _ = diagnose_with(source, tokens, policy, seed=seed)
+        diag = diagnose_with(source, tokens, policy)
         results[policy] = digest(diag)
     assert results["fixed"] == results["bandit"]
 
 
 # ---------------------------------------------------------------------
-# determinism: same seed -> same arm pulls -> same probe order
+# determinism: repeated runs dispatch and consume the same probes
 # ---------------------------------------------------------------------
 
 def test_bandit_repeated_run_determinism():
     source, tokens = APPS["dangling_read"]
     runs = []
     for _ in range(2):
-        diag, search, engine = diagnose_with(source, tokens, "bandit",
-                                             workers=2, seed=99)
+        diag = diagnose_with(source, tokens, "bandit", workers=2)
         runs.append((digest(diag),
                      diag.search_info["probes_executed"],
-                     diag.search_info["probes_consumed"],
-                     tuple(search.bandit.trace),
-                     search.bandit.regret,
-                     search.bandit.snapshot()))
+                     diag.search_info["probes_consumed"]))
     assert runs[0] == runs[1]
-    assert runs[0][3], "bandit made no decisions"
-
-
-def test_bandit_seed_changes_only_speculation():
-    source, tokens = APPS["dangling_read"]
-    a, _, _ = diagnose_with(source, tokens, "bandit", workers=2, seed=1)
-    b, _, _ = diagnose_with(source, tokens, "bandit", workers=2, seed=2)
-    assert digest(a) == digest(b)
 
 
 # ---------------------------------------------------------------------
@@ -195,3 +180,19 @@ def test_session_cross_policy_diagnosis_identity():
             for p in ("fixed", "bandit")
             for w in (1, 2)}
     assert len(keys) == 1
+
+
+@pytest.mark.parametrize("app", ["cvs", "m4"])
+def test_session_bandit_is_fixed_schedule_minus_skip(app):
+    """At two workers ``bandit`` speculates exactly as ``fixed`` does:
+    per recovery it executes the fixed schedule's probes minus the
+    ones its phase-1a skip pruned, and its simulated recovery is no
+    slower."""
+    fixed = run_app_session(app, workers=2, search_policy="fixed")
+    bandit = run_app_session(app, workers=2, search_policy="bandit")
+    assert bandit.diagnosis_key() == fixed.diagnosis_key()
+    assert bandit.recoveries == fixed.recoveries > 0
+    for i in range(bandit.recoveries):
+        assert (bandit.probes_executed[i]
+                == fixed.probes_executed[i] - bandit.probes_pruned[i]), i
+        assert bandit.recovery_time_ns[i] <= fixed.recovery_time_ns[i], i

@@ -1,4 +1,4 @@
-"""Determinism scan and SearchState plumbing (DESIGN.md §13).
+"""Determinism scan and search-policy plumbing (DESIGN.md §13).
 
 Hand-built bytecode checks :func:`repro.search.state.analyze_program`:
 a program is deterministic when no RAND opcode is reachable from
@@ -10,8 +10,9 @@ a called helper keeps the plain probe is
 import pytest
 
 from repro.apps.registry import all_apps
+from repro.core.runtime import FirstAidConfig, FirstAidRuntime
 from repro.errors import ReproError
-from repro.search import SearchState, analyze_program, state
+from repro.search import analyze_program, may_skip_plain_probe, state
 from repro.vm.builder import ProgramBuilder
 
 
@@ -55,34 +56,37 @@ def test_unreachable_rand_is_ignored():
 
 
 # ---------------------------------------------------------------------
-# SearchState plumbing
+# search-policy plumbing
 # ---------------------------------------------------------------------
 
 def test_fixed_policy_never_runs_the_analysis(monkeypatch):
     calls = []
     monkeypatch.setattr(state, "analyze_program",
                         lambda program: calls.append(program) or True)
-    search = SearchState("fixed")
-    assert not search.may_skip_plain_probe(build(halt_only))
-    assert search.bandit is None
+    assert not may_skip_plain_probe("fixed", build(halt_only))
     assert calls == []
 
 
 def test_unknown_policy_rejected():
+    """Rejected when the runtime is built, before any failure: the
+    degradation ladder would absorb the error there."""
+    program = build(halt_only)
     for policy in ("greedy", "pruned"):
         with pytest.raises(ReproError):
-            SearchState(policy)
+            FirstAidRuntime(program,
+                            config=FirstAidConfig(search_policy=policy))
 
 
 def test_bandit_policy_prunes_and_speculates():
+    """``bandit`` skips the plain probe of a deterministic program
+    only; its speculation is the fixed schedule's
+    (``test_search_equivalence.py`` checks the probe counts)."""
     def main(fb):
         fb.rand("r")
         fb.halt()
 
-    search = SearchState("bandit", seed=7)
-    assert search.bandit is not None
-    assert search.may_skip_plain_probe(build(halt_only))
-    assert not search.may_skip_plain_probe(build(main))
+    assert may_skip_plain_probe("bandit", build(halt_only))
+    assert not may_skip_plain_probe("bandit", build(main))
 
 
 # ---------------------------------------------------------------------
