@@ -14,6 +14,7 @@ from repro.apps.registry import get_app, real_bug_apps
 from repro.baselines.restart import RestartRuntime, RestartSessionResult
 from repro.baselines.rx import RxRuntime, RxSessionResult
 from repro.checkpoint.manager import DEFAULT_INTERVAL, CheckpointManager
+from repro.core.fleet import fleet_identity
 from repro.core.runtime import FirstAidConfig, FirstAidRuntime, SessionResult
 from repro.heap.extension import ExtensionMode
 from repro.obs.telemetry import Telemetry
@@ -306,6 +307,7 @@ def run_app_session(app_name: str, triggers: int = 2, seed: int = 42,
     wall = time.perf_counter() - started
     recs = session.recoveries
     stats = runtime.process.extension.sampling_stats
+    label, canary = fleet_identity(cfg, runtime.process.program.name)
     digest = SessionDigest(
         app=app_name,
         workers=cfg.workers,
@@ -356,16 +358,16 @@ def run_app_session(app_name: str, triggers: int = 2, seed: int = 42,
         wall_s=wall,
         worker_failures=(runtime.executor.worker_failures
                          if runtime.executor else 0),
-        label=runtime._process_label,
+        label=label,
         pid=os.getpid(),
-        canary=runtime._canary,
+        canary=canary,
         pool={p.key: (p.trigger_count, p.validated)
               for p in runtime.pool.patches()},
         local_triggers=dict(runtime.policy.local_triggers),
         first_failure_ns=min((r.failure.time_ns for r in recs),
                              default=0),
         first_detection_ns=stats.first_detection_ns if stats else 0,
-        sampled_prevented=runtime._sampled_prevented,
+        sampled_prevented=runtime.sampled_prevented,
         crashes=sum(1 for r in recs
                     if r.failure.monitor != "sampled-detection"),
     )

@@ -169,7 +169,7 @@ def run_chaos_session(app_name: str, arm: Dict[str, int],
     beacon_visible = None
     if store_path is not None:
         from repro.obs.health import aggregate_store
-        label = process_label or runtime._process_label
+        label = process_label or runtime.fleet.label
         report = aggregate_store(store_path)
         beacon_visible = any(row["process_id"] == label
                              for row in report.processes)

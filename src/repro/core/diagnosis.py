@@ -655,22 +655,10 @@ class DiagnosticEngine:
                 - (process.input.journal_length - machine[4]))
         if need > 0:
             process.input.prefetch(need)
-        return ReexecTask(
-            kind="probe",
+        return ReexecTask.from_process(
+            process, enc, window_end, kind="probe",
             label=f"probe:cp{checkpoint.index}:salt{salt}",
-            state=enc,
-            journal=process.input.journal_slice(0),
-            output_prefix=process.output.entries()[:machine[5]],
-            window_end=window_end,
-            costs=process.costs.replay_model(),
-            heap_limit=process.mem.limit,
-            quarantine_threshold=process.extension
-            .quarantine.threshold_bytes,
-            patch_memory_limit=process.extension.patch_memory_limit,
-            salt=salt,
-            policy=req.policy,
-            mark=req.mark,
-            vm_tier=process.machine.tier)
+            salt=salt, policy=req.policy, mark=req.mark)
 
     # ------------------------------------------------------------------
     # policies for phase 2
@@ -812,26 +800,7 @@ class DiagnosticEngine:
 
     def _bisect_round(self, checkpoint, bug_type, remaining, all_types,
                       window_end) -> Optional[CallSite]:
-        if self.executor is not None and self.executor.workers > 1:
-            return self._bisect_round_speculative(
-                checkpoint, bug_type, remaining, all_types, window_end)
-        candidates = list(remaining)
-        while len(candidates) > 1:
-            if self._rollbacks >= self.max_rollbacks:
-                return None
-            half = candidates[:len(candidates) // 2]
-            outcome = self._probe_one(
-                checkpoint,
-                self._search_policy(bug_type, half, all_types),
-                window_end)
-            candidates = (half if not outcome.passed
-                          else candidates[len(half):])
-        return candidates[0]
-
-    def _bisect_round_speculative(self, checkpoint, bug_type, remaining,
-                                  all_types, window_end) \
-            -> Optional[CallSite]:
-        """Speculative halving across workers.
+        """Halving, speculated across workers.
 
         Each bisect probe depends on the previous answer, so the round
         cannot batch linearly.  Instead it dispatches the breadth-first
@@ -842,10 +811,12 @@ class DiagnosticEngine:
         share a salt offset -- serial execution would give the depth-d
         probe salt base+d+1 whichever branch it took -- so the consumed
         path reproduces the serial salt sequence exactly and the
-        unvisited branches are discarded speculation.
+        unvisited branches are discarded speculation.  Without an
+        executor the frontier is one node: plain serial halving.
         """
         candidates = tuple(remaining)
-        fanout = max(2, self.executor.workers)
+        fanout = self.executor.workers if self.executor is not None \
+            else 1
         while len(candidates) > 1:
             nodes: List[Tuple[int, tuple]] = []
             queue: List[Tuple[int, tuple]] = [(0, candidates)]

@@ -12,34 +12,24 @@ subsequent failures from the same bug never happen.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
 from repro.checkpoint.manager import DEFAULT_INTERVAL, CheckpointManager
 from repro.core.diagnosis import Diagnosis, DiagnosticEngine, Verdict
+from repro.core.fleet import FleetMember
 from repro.core.patches import PatchPolicy, PatchPool
 from repro.core.report import BugReport
 from repro.core.validation import ValidationEngine, ValidationResult
 from repro.heap.extension import ExtensionMode
 from repro.heap.quarantine import DEFAULT_THRESHOLD
 from repro.monitors import FailureEvent, default_monitors
-from repro.obs.health import (
-    LATENCY_BOUNDS,
-    RECOVERY_BOUNDS,
-    HealthBeacon,
-    HealthChannel,
-    health_path,
-)
-from repro.obs.metrics import Histogram
 from repro.obs.telemetry import Telemetry
-from repro.errors import StoreError
 from repro.parallel.executor import make_executor
 from repro.parallel.tasks import PASS_REASONS, WINDOW_INTERVALS
 from repro.process import Process
 from repro.search.state import check_policy
-from repro.store import SharedPatchStore
 from repro.util.events import EventLog
 from repro.vm.machine import RunReason, RunResult
 from repro.vm.program import Program
@@ -69,9 +59,9 @@ class FirstAidConfig:
     #: ``store_refresh_boundaries`` checkpoint boundaries) absorbs
     #: patches other processes published mid-run.  With a store the
     #: fleet health plane (repro.obs.health, DESIGN.md §12) is on too:
-    #: the runtime publishes a :class:`~repro.obs.health.HealthBeacon`
-    #: into ``<store>.health`` at every store-refresh boundary and at
-    #: session exit.  Health failures degrade (``health.error``
+    #: the runtime's :class:`~repro.core.fleet.FleetMember` publishes
+    #: a beacon into ``<store>.health`` at every store-refresh boundary
+    #: and at session exit.  Health failures degrade (``health.error``
     #: events), never raise.
     store_path: Optional[str] = None
     store_refresh_boundaries: int = 2
@@ -228,43 +218,17 @@ class FirstAidRuntime:
         self.telemetry = Telemetry(enabled=self.config.telemetry)
         self.events = EventLog(max_events=self.config.max_events)
         self.pool = PatchPool(program.name)
-        #: Shared patch store (None without config.store_path).  The
-        #: startup sync runs before the policy is built, so a patch any
-        #: peer already published prevents its bug from this process's
-        #: very first instruction.
-        self.store = None
-        self._store_generation = -1
-        self._boundaries_since_refresh = 0
-        #: Fleet health channel (None without a store).  Rides next to
-        #: the patch store and reuses its crash-safe machinery; see
-        #: repro.obs.health.
-        self.health = None
-        self._health_seq = 0
-        self._retractions = 0
         #: Sampled detections that ended in a validated patch: bugs
         #: caught and fixed *before* any crash (the fleet report's
         #: "prevented" column).
-        self._sampled_prevented = 0
-        self._process_label = (self.config.process_label
-                               or f"{program.name}#{os.getpid()}")
-        #: Rollout state (repro.rollout, DESIGN.md §14).  All sim-time.
-        self._canary = True
-        self._adopted_ns = {}            # patch_key -> sim adoption time
-        self._post_adopt_failures = {}   # patch_key -> failures while live
-        self._rolled_back_keys = set()   # never re-adopt this session
-        if self.config.rollout:
-            from repro.rollout import is_canary
-            self._canary = is_canary(self._process_label,
-                                     self.config.canary_fraction)
-        if self.config.store_path:
-            self.store = SharedPatchStore(self.config.store_path,
-                                          program.name)
-            self.store.events = self.events
-            self._store_sync(initial=True)
-            self.health = HealthChannel(
-                health_path(self.config.store_path), program.name,
-                faults=self.config.health_faults)
-            self.health.events = self.events
+        self.sampled_prevented = 0
+        #: Shared store, health beacons and rollout record
+        #: (repro.core.fleet); None without config.store_path.  Built
+        #: before the policy: its startup sync lets a patch any peer
+        #: already published prevent its bug from the first
+        #: instruction.
+        self.fleet = (FleetMember(self) if self.config.store_path
+                      else None)
         self.policy = PatchPolicy(self.pool)
         self.process = self._make_process(program,
                                           input_tokens=input_tokens)
@@ -282,8 +246,7 @@ class FirstAidRuntime:
             task_timeout_s=self.config.worker_timeout_s)
         self.validator = ValidationEngine(
             events=self.events, telemetry=self.telemetry,
-            executor=self.executor, store=self.store,
-            chaos=self.config.chaos)
+            executor=self.executor, chaos=self.config.chaos)
         self.recoveries: List[RecoveryRecord] = []
         self._recovery_supervisor = None
 
@@ -314,21 +277,28 @@ class FirstAidRuntime:
             telemetry=self.telemetry,
             chaos=self.config.chaos,
         )
-        if self.store is not None:
-            manager.on_boundary = self._store_refresh_tick
+        if self.fleet is not None:
+            manager.on_boundary = self.fleet.on_boundary
         return manager
+
+    @property
+    def store(self):
+        """The shared patch store (None without a store)."""
+        return self.fleet.store if self.fleet is not None else None
+
+    @property
+    def health(self):
+        """The fleet health channel (None without a store)."""
+        return self.fleet.health if self.fleet is not None else None
 
     def close(self) -> None:
         """Release every external resource: the worker pool (no-op in
-        serial mode) and, defensively, the shared store's file lock
-        (idempotent; only held if a fault interrupted a store
-        operation mid-critical-section)."""
+        serial mode) and, defensively, the fleet channels' file
+        locks."""
         if self.executor is not None:
             self.executor.close()
-        if self.store is not None:
-            self.store.lock.release()
-        if self.health is not None:
-            self.health.lock.release()
+        if self.fleet is not None:
+            self.fleet.close()
 
     def __enter__(self) -> "FirstAidRuntime":
         return self
@@ -336,200 +306,6 @@ class FirstAidRuntime:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
-
-    # ------------------------------------------------------------------
-    # shared patch store (DESIGN.md §9)
-    # ------------------------------------------------------------------
-
-    def _store_sync(self, initial: bool = False) -> None:
-        """Absorb the shared store into the local pool (and drop
-        retracted patches); refreshes the policy when anything
-        changed.  Store failures are logged, never raised: a broken
-        shared file must not take down this process.
-
-        With rollout on, adoption is stage-filtered (non-canaries take
-        only fleet-wide records) and keys this session saw rolled back
-        are permanently refused -- a supervisor restart mid-session
-        must not smuggle a condemned patch back in."""
-        canary = self._canary if self.config.rollout else None
-        blocked = self._rolled_back_keys if self.config.rollout \
-            else None
-        try:
-            changed, state = self.store.sync_into(
-                self.pool, canary=canary, blocked=blocked)
-        except StoreError as exc:
-            self.events.emit(0, "store.error", op="sync",
-                             error=str(exc))
-            return
-        self._store_generation = state.generation
-        if self.config.rollout:
-            now = 0 if initial else self.process.clock.now_ns
-            newly = sorted(k for k in state.rolled_back
-                           if k not in self._rolled_back_keys)
-            for key in newly:
-                self._rolled_back_keys.add(key)
-                if self.pool.remove_key(key) is not None:
-                    changed = True
-            if newly:
-                self.events.emit(now, "rollout.blocked", keys=newly)
-            for patch in self.pool.patches():
-                self._adopted_ns.setdefault(patch.key, now)
-        if changed and not initial:
-            self.policy.refresh()
-            self.events.emit(self.process.clock.now_ns, "store.refresh",
-                             generation=state.generation,
-                             patches=len(self.pool))
-
-    def _store_refresh_tick(self) -> None:
-        """Checkpoint-boundary hook: every
-        ``store_refresh_boundaries``-th boundary, poll the store
-        generation and merge if a peer published or retracted."""
-        self._boundaries_since_refresh += 1
-        if self._boundaries_since_refresh \
-                < self.config.store_refresh_boundaries:
-            return
-        self._boundaries_since_refresh = 0
-        try:
-            generation = self.store.generation()
-        except StoreError as exc:
-            self.events.emit(0, "store.error", op="poll",
-                             error=str(exc))
-            return
-        if generation != self._store_generation:
-            self._store_sync()
-        self._health_publish("running")
-
-    def _store_publish(self, patches, restage: bool = False) -> None:
-        if self.store is None or not patches:
-            return
-        try:
-            if self.config.rollout:
-                from repro.rollout import STAGED
-                state = self.store.publish(patches, stage=STAGED,
-                                           restage=restage)
-            else:
-                state = self.store.publish(patches)
-        except StoreError as exc:
-            self.events.emit(0, "store.error", op="publish",
-                             error=str(exc))
-            return
-        self._store_generation = state.generation
-        self.events.emit(self.process.clock.now_ns, "store.published",
-                         keys=[p.key for p in patches],
-                         generation=state.generation)
-
-    # ------------------------------------------------------------------
-    # staged rollout (DESIGN.md §14)
-    # ------------------------------------------------------------------
-
-    def _note_failure_for_rollout(self, time_ns: int) -> None:
-        """Attribute one failure to every patch that was live when it
-        struck (sim-time comparison): the canary evidence the
-        promotion controller gates on.  A patch adopted *after* the
-        failure is innocent."""
-        if not self.config.rollout:
-            return
-        for key, adopted in self._adopted_ns.items():
-            if adopted <= time_ns and self.pool.find_key(key) \
-                    is not None:
-                self._post_adopt_failures[key] = \
-                    self._post_adopt_failures.get(key, 0) + 1
-
-    # ------------------------------------------------------------------
-    # fleet health plane (DESIGN.md §12)
-    # ------------------------------------------------------------------
-
-    def _health_beacon(self, reason: str) -> HealthBeacon:
-        """This process's health digest, right now.  Every field is a
-        full snapshot (not a delta) derived from sim-time-stamped,
-        locally-attributed state -- the same program on the same input
-        builds the same beacon sequence regardless of wall clock, pid,
-        or peer publish timing (the determinism the fleet report gates
-        on)."""
-        recoveries = self.recoveries
-        rung_counts = {}
-        for record in recoveries:
-            ran = [a for a in record.rung_trail
-                   if a.outcome != "skipped"]
-            if ran:
-                for attempt in ran:
-                    rung = str(attempt.rung)
-                    rung_counts[rung] = rung_counts.get(rung, 0) + 1
-            else:
-                # Supervisor off (or pre-ladder record): the resolving
-                # rung is all we know.
-                rung = str(record.rung)
-                rung_counts[rung] = rung_counts.get(rung, 0) + 1
-        diagnosed = {}
-        for record in recoveries:
-            if record.diagnosis is None:
-                continue
-            for patch in record.diagnosis.patches:
-                key = patch.key
-                diagnosed[key] = diagnosed.get(key, 0) + 1
-        patches = {}
-        for patch in self.pool.patches():
-            key = patch.key
-            patches[key] = {
-                "triggers": self.policy.local_triggers.get(key, 0),
-                "validated": patch.validated,
-                "created_time_ns": patch.created_time_ns,
-                "diagnosed": diagnosed.get(key, 0),
-            }
-            if self.config.rollout:
-                # Canary evidence for the promotion controller; only
-                # serialized under rollout so pre-rollout beacons stay
-                # byte-identical.
-                patches[key]["adopted_ns"] = self._adopted_ns.get(
-                    key, patch.created_time_ns)
-                patches[key]["post_adopt_failures"] = \
-                    self._post_adopt_failures.get(key, 0)
-        recovery = Histogram("recovery_ns", RECOVERY_BOUNDS)
-        for record in recoveries:
-            recovery.observe(record.recovery_time_ns)
-        latency = Histogram("latency_ns", LATENCY_BOUNDS)
-        prev = 0
-        for time_ns, _ in self.process.output.entries():
-            latency.observe(time_ns - prev)
-            prev = time_ns
-        sampling = {}
-        stats = self.process.extension.sampling_stats
-        if self.config.sampling_rate > 0 and stats is not None:
-            # Only serialized when sampling is on, so pre-sampling
-            # beacons stay byte-identical.
-            sampling = stats.to_dict()
-            sampling["rate"] = self.config.sampling_rate
-            sampling["prevented"] = self._sampled_prevented
-        self._health_seq += 1
-        return HealthBeacon(
-            canary=self._canary if self.config.rollout else False,
-            process_id=self._process_label,
-            app=self.process.program.name,
-            seq=self._health_seq,
-            time_ns=self.process.clock.now_ns,
-            reason=reason,
-            failures=len(recoveries),
-            recovered=sum(1 for r in recoveries if r.succeeded),
-            gave_up=sum(1 for r in recoveries if not r.succeeded),
-            restarts=sum(1 for r in recoveries if r.restarted),
-            retractions=self._retractions,
-            rung_counts=rung_counts,
-            patches=patches,
-            recovery_ns=recovery.to_snapshot(),
-            latency_ns=latency.to_snapshot(),
-            sampling=sampling,
-        )
-
-    def _health_publish(self, reason: str) -> None:
-        """Publish a beacon; the health path must never take down the
-        session (:meth:`HealthChannel.publish_guarded`)."""
-        if self.health is None:
-            return
-        beacon = self._health_beacon(reason)
-        if self.health.publish_guarded(beacon):
-            self.events.emit(self.process.clock.now_ns,
-                             "health.published", seq=beacon.seq,
-                             reason=reason)
 
     # ------------------------------------------------------------------
     # main loop
@@ -581,23 +357,16 @@ class FirstAidRuntime:
                     # A fault no monitor claims: treat as fatal.
                     return self._finish(SessionResult("died",
                                                       self.recoveries))
-            self._note_failure_for_rollout(failure.time_ns)
+            if self.fleet is not None:
+                self.fleet.on_failure(failure.time_ns)
             record = self._handle_failure(failure)
             self.recoveries.append(record)
             if not record.succeeded:
                 return self._finish(SessionResult("died", self.recoveries))
 
     def _finish(self, session: SessionResult) -> SessionResult:
-        """Session-exit bookkeeping: push this process's trigger counts
-        to the shared store (merge keeps the max), after a final sync
-        so a peer's retraction is honored rather than resurrected."""
-        if self.store is not None and len(self.pool):
-            self._store_sync()
-            self._store_publish(self.pool.patches())
-        # The exit beacon goes out even with an empty pool: a fleet
-        # view that only shows processes with patches cannot answer
-        # "did everyone survive?".
-        self._health_publish(session.reason)
+        if self.fleet is not None:
+            self.fleet.on_exit(session.reason)
         return session
 
     def _detect_failure(self, result: RunResult) -> Optional[FailureEvent]:
@@ -678,6 +447,8 @@ class FirstAidRuntime:
             old.program, input_stream=old.input, clock=old.clock,
             costs=self._costs, output=old.output)
         self.manager = self._make_manager()
+        if self.fleet is not None:
+            self.fleet.on_respawn()
 
     def _handle_failure_traced(self, failure: FailureEvent,
                                fast_path: bool = True) -> RecoveryRecord:
@@ -744,36 +515,17 @@ class FirstAidRuntime:
                 for patch in diagnosis.patches:
                     self.pool.remove(patch.patch_id)
                 self.policy.refresh()
-                self.events.emit(self.process.clock.now_ns,
-                                 "sampling.fast_path_rejected",
-                                 reasons=["patched re-execution failed"])
-                fallback = self._handle_failure_traced(
-                    failure, fast_path=False)
-                fallback.recovery_time_ns += record.recovery_time_ns
-                fallback.notes.insert(
-                    0, "sampled fast-path patch did not stop the "
-                    "failure region; fell back to the full pipeline")
-                return fallback
+                return self._fall_back(failure, record,
+                                       ["patched re-execution failed"],
+                                       "did not stop the failure region")
             record.notes.append("patched re-execution failed again")
             return record
         self.events.emit(self.process.clock.now_ns, "recovery.done",
                          time_s=record.recovery_time_ns / 1e9,
                          patches=len(diagnosis.patches))
-        if self.config.rollout:
-            # Self-diagnosed patches count as adopted from now on
-            # (post-adopt attribution), and a fresh diagnosis of a
-            # rolled-back key is the one legitimate restage path.
-            now = self.process.clock.now_ns
-            for patch in diagnosis.patches:
-                self._adopted_ns.setdefault(patch.key, now)
-                if patch.key in self._rolled_back_keys:
-                    self.events.emit(now, "rollout.restaged",
-                                     key=patch.key)
-        # Publish on creation: peers start preventing this bug while we
-        # are still validating (a failed validation retracts below).
-        # Under rollout this enters at STAGED (restage=True: a fresh
-        # diagnosis outranks a rollback record).
-        self._store_publish(diagnosis.patches, restage=True)
+        if self.fleet is not None:
+            # Published on creation; a failed validation retracts.
+            self.fleet.on_patches_created(diagnosis.patches)
 
         # Validation + report, off the recovery path (clone-based).
         if self.config.validate and diagnosis.checkpoint is not None:
@@ -783,11 +535,10 @@ class FirstAidRuntime:
                 fast_path=use_fast)
             record.validation = validation
             if not validation.consistent:
-                # The validator already retracted them from the shared
-                # store; drop them locally too.
+                if self.fleet is not None:
+                    self.fleet.retract(diagnosis.patches)
                 for patch in diagnosis.patches:
                     self.pool.remove(patch.patch_id)
-                self._retractions += 1
                 self.policy.refresh()
                 self.events.emit(self.process.clock.now_ns,
                                  "validation.failed",
@@ -796,33 +547,20 @@ class FirstAidRuntime:
                     "validation failed; patches removed: "
                     + "; ".join(validation.reasons))
                 if use_fast:
-                    # Validation rejected the detection-seeded patch:
-                    # fall back to the full two-phase pipeline.  A
-                    # guard false positive ends NONDETERMINISTIC there
-                    # and the session continues un-degraded.
-                    self.events.emit(self.process.clock.now_ns,
-                                     "sampling.fast_path_rejected",
-                                     reasons=validation.reasons)
-                    fallback = self._handle_failure_traced(
-                        failure, fast_path=False)
-                    fallback.recovery_time_ns += record.recovery_time_ns
-                    fallback.notes.insert(
-                        0, "sampled fast-path patch rejected by "
-                        "validation; fell back to the full pipeline")
-                    return fallback
+                    return self._fall_back(failure, record,
+                                           validation.reasons,
+                                           "rejected by validation")
             else:
                 if use_fast:
-                    self._sampled_prevented += 1
+                    self.sampled_prevented += 1
                     self.events.emit(self.process.clock.now_ns,
                                      "sampling.prevented",
                                      patches=[p.key for p in
                                               diagnosis.patches])
                 for patch in diagnosis.patches:
                     patch.validated = True
-                # Publish on validation: the validated flag is sticky
-                # in the store's merge, making the patch trustworthy
-                # fleet-wide.
-                self._store_publish(diagnosis.patches)
+                if self.fleet is not None:
+                    self.fleet.publish(diagnosis.patches)
         flight = None
         if self.telemetry.enabled:
             flight = self.telemetry.recorder.snapshot(
@@ -836,29 +574,52 @@ class FirstAidRuntime:
             flight=flight)
         return record
 
+    def _fall_back(self, failure: FailureEvent, record: RecoveryRecord,
+                   reasons: List[str], why: str) -> RecoveryRecord:
+        """The detection-seeded patch failed (``why``): run the full
+        two-phase pipeline.  A guard false positive ends
+        NONDETERMINISTIC there and the session continues un-degraded."""
+        self.events.emit(self.process.clock.now_ns,
+                         "sampling.fast_path_rejected", reasons=reasons)
+        fallback = self._handle_failure_traced(failure, fast_path=False)
+        fallback.recovery_time_ns += record.recovery_time_ns
+        fallback.notes.insert(0, f"sampled fast-path patch {why}; fell "
+                              "back to the full pipeline")
+        return fallback
+
     def _recover(self, diagnosis: Diagnosis, window_end: int) -> bool:
         """Re-execute from the diagnosis checkpoint in normal mode with
         patches applied; True when the failure region is passed."""
-        checkpoint = diagnosis.checkpoint
         for attempt in range(MAX_RECOVERY_ATTEMPTS):
-            with self.telemetry.span("recovery.attempt",
-                                     attempt=attempt) as att_span:
-                with self.telemetry.span("rollback",
-                                         to_index=checkpoint.index):
-                    self.manager.rollback_to(checkpoint)
-                self.manager.drop_after(checkpoint)
-                self._back_to_normal()
-                self.process.reseed_entropy(
-                    self.config.entropy_seed + 7000 + attempt)
-                with self.telemetry.span("reexec"):
-                    result = self.process.run(stop_at=window_end)
-                passed = result.reason in PASS_REASONS
-                att_span.set(passed=passed)
-            if passed:
+            result = self.replay(
+                diagnosis.checkpoint, window_end,
+                self.config.entropy_seed + 7000 + attempt,
+                "recovery.attempt", attempt=attempt)
+            if result.reason in PASS_REASONS:
                 return True
         return False
 
-    def _back_to_normal(self) -> None:
-        self.process.set_mode(ExtensionMode.NORMAL, self.policy)
+    def replay(self, checkpoint, window_end: int, seed: int, span: str,
+               policy=None, **attrs) -> RunResult:
+        """Roll back to ``checkpoint`` and re-execute in normal mode
+        under ``policy`` (default: the patch policy) with entropy
+        ``seed`` up to ``window_end``.  Recovery and ladder rungs 2-3
+        all recover through here; ``span`` (with ``attrs``) wraps the
+        rollback and re-execution spans and records ``passed``."""
+        with self.telemetry.span(span, **attrs) as outer:
+            with self.telemetry.span("rollback",
+                                     to_index=checkpoint.index):
+                self.manager.rollback_to(checkpoint)
+            self.manager.drop_after(checkpoint)
+            self._back_to_normal(policy)
+            self.process.reseed_entropy(seed)
+            with self.telemetry.span("reexec"):
+                result = self.process.run(stop_at=window_end)
+            outer.set(passed=result.reason in PASS_REASONS)
+        return result
+
+    def _back_to_normal(self, policy=None) -> None:
+        self.process.set_mode(ExtensionMode.NORMAL,
+                              self.policy if policy is None else policy)
         self.process.machine.trace_accesses = False
         self.process.extension.trace_mm = False

@@ -103,7 +103,7 @@ class ValidationEngine:
     def __init__(self, iterations: int = 3,
                  events: Optional[EventLog] = None,
                  telemetry: Optional[Telemetry] = None,
-                 executor=None, store=None, chaos=None):
+                 executor=None, chaos=None):
         self.iterations = iterations
         self.events = events if events is not None else EventLog()
         self.telemetry = telemetry or Telemetry.disabled()
@@ -113,11 +113,6 @@ class ValidationEngine:
         #: execution backend for the validation batch; None builds a
         #: per-call SerialExecutor over the process's program.
         self.executor = executor
-        #: Optional :class:`~repro.store.SharedPatchStore`: a patch
-        #: that fails validation is retracted from the store, so other
-        #: processes of the same program drop it on their next refresh
-        #: instead of keeping a patch one process proved inconsistent.
-        self.store = store
         self._m_runs = self.telemetry.metrics.counter("validation.runs")
         self._m_trials = \
             self.telemetry.metrics.counter("validation.patch_trials")
@@ -127,9 +122,7 @@ class ValidationEngine:
                  under_test=None,
                  fast_path: bool = False) -> ValidationResult:
         """Validate the pool's patches; ``under_test`` names the
-        just-generated patches this verdict is about, so an
-        inconsistent result can retract exactly those from the shared
-        store (previously validated patches are not collateral).
+        just-generated patches this verdict is about.
 
         ``fast_path`` marks patches minted from a sampled guard hit
         without any diagnostic re-execution (DESIGN.md §15): those
@@ -146,27 +139,9 @@ class ValidationEngine:
                                     under_test=under_test,
                                     fast_path=fast_path)
             result.wall_s = time.perf_counter() - started
-            if not result.consistent and under_test:
-                self._retract(under_test)
             span.set(consistent=result.consistent,
                      clone_time_ns=result.time_ns)
             return result
-
-    def _retract(self, patches) -> None:
-        if self.store is None:
-            return
-        from repro.errors import StoreError
-        try:
-            state = self.store.retract(patches)
-        except StoreError as exc:
-            # A store problem must never escalate a validation verdict
-            # into a crash; the local pool removal still happens.
-            self.events.emit(0, "store.error",
-                             op="retract", error=str(exc))
-            return
-        self.events.emit(0, "store.retracted",
-                         keys=[p.key for p in patches],
-                         generation=state.generation)
 
     def _validate(self, process: Process, checkpoint: Checkpoint,
                   pool: PatchPool, window_end: int,
@@ -240,46 +215,21 @@ class ValidationEngine:
         """One randomized validation run.  The patch set travels as
         JSON (a frozen copy by construction); entropy follows the
         legacy clone behavior: seed * 7919."""
-        return ReexecTask(
-            kind="validation",
-            label=f"validate:seed{seed}",
-            state=state,
-            journal=process.input.journal_slice(0),
-            output_prefix=process.output.entries()[:state[0][5]],
-            window_end=window_end,
-            costs=process.costs.replay_model(),
-            heap_limit=process.mem.limit,
-            quarantine_threshold=process.extension
-            .quarantine.threshold_bytes,
-            patch_memory_limit=process.extension.patch_memory_limit,
-            salt=seed * 7919,
+        return ReexecTask.from_process(
+            process, state, window_end, kind="validation",
+            label=f"validate:seed{seed}", salt=seed * 7919,
             patches_json=[p.to_json() for p in pool.patches()],
-            pool_name=pool.program_name,
-            seed=seed,
-            trace_mm=True,
-            trace_accesses=True,
-            vm_tier=process.machine.tier)
+            pool_name=pool.program_name, seed=seed, trace_mm=True,
+            trace_accesses=True)
 
     def _baseline_task(self, process: Process, state: tuple,
                        window_end: int) -> ReexecTask:
         """Unpatched re-execution (runs into the failure); its trace is
         diffed against the patched traces in the bug report.  Salt 1
         reproduces the legacy clone's fresh default entropy."""
-        return ReexecTask(
-            kind="baseline",
-            label="validate:baseline",
-            state=state,
-            journal=process.input.journal_slice(0),
-            output_prefix=process.output.entries()[:state[0][5]],
-            window_end=window_end,
-            costs=process.costs.replay_model(),
-            heap_limit=process.mem.limit,
-            quarantine_threshold=process.extension
-            .quarantine.threshold_bytes,
-            patch_memory_limit=process.extension.patch_memory_limit,
-            salt=1,
-            trace_mm=True,
-            vm_tier=process.machine.tier)
+        return ReexecTask.from_process(
+            process, state, window_end, kind="baseline",
+            label="validate:baseline", salt=1, trace_mm=True)
 
     # ------------------------------------------------------------------
 

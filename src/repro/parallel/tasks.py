@@ -126,6 +126,27 @@ class ReexecTask:
     #: process-wide compiled-program cache) as the live process.
     vm_tier: str = "reference"
 
+    @classmethod
+    def from_process(cls, process: Process, state: tuple,
+                     window_end: int, **fields) -> "ReexecTask":
+        """A re-execution of ``process`` from ``state`` (the
+        :func:`encode_state` payload of one of its checkpoints) up to
+        ``window_end``: the live process's journal, output history up
+        to the snapshot, replay-rate costs, limits and VM tier, plus
+        the task-specific ``fields``."""
+        return cls(
+            state=state,
+            journal=process.input.journal_slice(0),
+            output_prefix=process.output.entries()[:state[0][5]],
+            window_end=window_end,
+            costs=process.costs.replay_model(),
+            heap_limit=process.mem.limit,
+            quarantine_threshold=process.extension
+            .quarantine.threshold_bytes,
+            patch_memory_limit=process.extension.patch_memory_limit,
+            vm_tier=process.machine.tier,
+            **fields)
+
 
 @dataclass
 class TaskOutcome:

@@ -47,7 +47,6 @@ from repro.core.diagnosis import Diagnosis, Verdict
 from repro.core.report import BugReport
 from repro.core.runtime import MAX_RECOVERY_ATTEMPTS, RecoveryRecord
 from repro.errors import CheckpointError
-from repro.heap.extension import ExtensionMode
 from repro.monitors.base import FailureEvent
 from repro.parallel.tasks import PASS_REASONS, WINDOW_INTERVALS
 from repro.util.events import EventLog
@@ -194,26 +193,16 @@ class RecoverySupervisor:
         if not rt.manager.checkpoints:
             return False, "no checkpoints available"
         oldest = rt.manager.checkpoints[0]
-        with rt.telemetry.span("recovery.rung",
-                               rung=int(Rung.PREVENT_ALL),
-                               to_index=oldest.index) as span:
-            with rt.telemetry.span("rollback", to_index=oldest.index):
-                rt.manager.rollback_to(oldest)
-            rt.manager.drop_after(oldest)
-            rt.process.set_mode(ExtensionMode.NORMAL,
-                                all_preventive_policy())
-            rt.process.machine.trace_accesses = False
-            rt.process.extension.trace_mm = False
-            rt.process.reseed_entropy(self.config.entropy_seed + 8000
-                                      + len(rt.recoveries))
-            with rt.telemetry.span("reexec"):
-                result = rt.process.run(stop_at=window_end)
-            passed = result.reason in PASS_REASONS
-            span.set(passed=passed)
+        result = rt.replay(oldest, window_end,
+                           self.config.entropy_seed + 8000
+                           + len(rt.recoveries),
+                           "recovery.rung", all_preventive_policy(),
+                           rung=int(Rung.PREVENT_ALL),
+                           to_index=oldest.index)
         # Preventive mode covers the re-executed failure region only;
         # normal mode (with the targeted patch policy) resumes after.
         rt._back_to_normal()
-        if passed:
+        if result.reason in PASS_REASONS:
             return True, ""
         return False, ("preventive re-execution from checkpoint "
                        f"#{oldest.index} failed: {result.reason.value}")
@@ -227,23 +216,12 @@ class RecoverySupervisor:
         except CheckpointError as exc:
             return False, str(exc)
         for attempt in range(MAX_RECOVERY_ATTEMPTS):
-            with rt.telemetry.span("recovery.rung",
-                                   rung=int(Rung.ROLLBACK),
-                                   attempt=attempt) as span:
-                with rt.telemetry.span("rollback",
-                                       to_index=latest.index):
-                    rt.manager.rollback_to(latest)
-                rt.manager.drop_after(latest)
-                rt._back_to_normal()
-                rt.process.reseed_entropy(self.config.entropy_seed
-                                          + 9000
-                                          + 17 * len(rt.recoveries)
-                                          + attempt)
-                with rt.telemetry.span("reexec"):
-                    result = rt.process.run(stop_at=window_end)
-                passed = result.reason in PASS_REASONS
-                span.set(passed=passed)
-            if passed:
+            result = rt.replay(latest, window_end,
+                               self.config.entropy_seed + 9000
+                               + 17 * len(rt.recoveries) + attempt,
+                               "recovery.rung",
+                               rung=int(Rung.ROLLBACK), attempt=attempt)
+            if result.reason in PASS_REASONS:
                 return True, ""
         return False, (f"plain re-execution failed "
                        f"{MAX_RECOVERY_ATTEMPTS}x from checkpoint "
@@ -274,13 +252,6 @@ class RecoverySupervisor:
                 target = cursor
             resumed_at = rt.process.input.skip_to(target)
             rt._respawn()
-        if rt.store is not None and rt.config.rollout:
-            # The fresh process must reflect the fleet's *current*
-            # stage view before serving again: a patch rolled back
-            # while this process was crashing must not ride into the
-            # restart through the stale local pool (the sync drops
-            # every key the store has condemned).
-            rt._store_sync()
         rt.events.emit(rt.process.clock.now_ns, "recovery.restart",
                        n=self.restarts, resumed_at=resumed_at,
                        downtime_ns=RESTART_DOWNTIME_NS)

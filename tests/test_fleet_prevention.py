@@ -160,7 +160,7 @@ def test_failed_validation_retracts_fleet_wide(store_path):
     assert len(peer_pool) == 1
 
     # validation elsewhere proves it inconsistent -> retraction
-    leader.validator._retract([patch])
+    leader.fleet.retract([patch])
     state = store.load()
     assert state.patches == {}
     assert patch.key in state.retracted
@@ -170,26 +170,39 @@ def test_failed_validation_retracts_fleet_wide(store_path):
     assert len(peer_pool) == 0
 
 
-def test_store_error_does_not_crash_recovery(store_path, monkeypatch):
-    """A broken store must never take down the recovery path."""
-    from repro.errors import StoreError
+@pytest.mark.parametrize("op", ["publish", "retract"])
+def test_store_error_does_not_crash_recovery(store_path, monkeypatch, op):
+    """A broken store must never take down the recovery path: each
+    store mutation degrades to a ``store.error`` event naming it.  The
+    retract case needs a failed validation, so it arms a flaky one."""
+    from repro.chaos.faults import ChaosPlan
+    from repro.errors import StoreLockTimeout
 
+    chaos = None
+    if op == "retract":
+        chaos = ChaosPlan()
+        chaos.arm("validation_flaky")
     program = compile_program(OVERFLOW_SERVER, "srv")
     runtime = FirstAidRuntime(program, input_tokens=workload(1),
-                              config=config(store_path))
+                              config=config(store_path, chaos=chaos))
 
-    def broken_publish(patches):
-        raise StoreError("disk on fire")
+    def broken(*args, **kwargs):
+        raise StoreLockTimeout("disk on fire")
 
-    monkeypatch.setattr(runtime.store, "publish", broken_publish)
-    monkeypatch.setattr(runtime.validator.store, "publish",
-                        broken_publish)
+    monkeypatch.setattr(runtime.store, op, broken)
     session = runtime.run()
     runtime.close()
     assert session.reason == "halt"
     assert session.survived_all
     assert len(session.recoveries) == 1
-    assert any(e.kind == "store.error" for e in runtime.events)
+    kinds = [e.kind for e in runtime.events]
+    errors = [e for e in runtime.events if e.kind == "store.error"]
+    assert errors and {e.data["op"] for e in errors} == {op}
+    if op == "retract":
+        assert len(errors) == 1
+        assert kinds.index("validation.done") \
+            < kinds.index("store.error") \
+            < kinds.index("validation.failed")
 
 
 def test_corrupt_store_at_startup_starts_fresh(store_path):

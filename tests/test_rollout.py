@@ -380,7 +380,7 @@ class TestRuntimeIntegration:
         rt.close()
         # the staged patch never entered the pool; the process hit the
         # real bug and recovered on its own
-        assert not rt._canary
+        assert not rt.fleet.canary
         assert all(p.key != self.srv_patch().key
                    for p in rt.pool.patches())
         assert len(session.recoveries) == 1
@@ -394,12 +394,12 @@ class TestRuntimeIntegration:
         rt = self.runtime(store_path, "exposed", canary_fraction=1.0)
         session = rt.run()
         rt.close()
-        assert rt._canary
+        assert rt.fleet.canary
         assert any(p.key == bad.key for p in rt.pool.patches())
-        assert rt._adopted_ns[bad.key] == 0
+        assert rt.fleet.adopted_ns[bad.key] == 0
         # the real bug struck while the injected patch was live: the
         # canary evidence the controller condemns it on
-        assert rt._post_adopt_failures[bad.key] \
+        assert rt.fleet.post_adopt_failures[bad.key] \
             == len(session.recoveries) == 1
 
     def test_rolled_back_key_never_readopted_mid_session(
@@ -413,14 +413,14 @@ class TestRuntimeIntegration:
         assert any(p.key == bad.key for p in rt.pool.patches())
         # the fleet condemns the patch while this session is running
         store.rollback([bad.key], time_ns=5, reason="hurts")
-        rt._store_sync()
+        rt.fleet.sync()
         assert all(p.key != bad.key for p in rt.pool.patches())
-        assert bad.key in rt._rolled_back_keys
+        assert bad.key in rt.fleet.rolled_back_keys
         assert any(e.kind == "rollout.blocked" for e in rt.events)
         # even a peer restaging it cannot smuggle it back into THIS
         # session: the block is session-permanent
         store.publish([bad], stage=FLEET_WIDE, restage=True)
-        rt._store_sync()
+        rt.fleet.sync()
         assert all(p.key != bad.key for p in rt.pool.patches())
         rt.close()
 

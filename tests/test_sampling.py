@@ -255,7 +255,7 @@ class TestFastPathEndToEnd:
         session = runtime.run()
         try:
             assert session.survived_all
-            assert runtime._sampled_prevented >= 1
+            assert runtime.sampled_prevented >= 1
             assert all(r.failure.monitor == "sampled-detection"
                        for r in session.recoveries)
             assert any(p.validated for p in runtime.pool.patches())

@@ -32,15 +32,25 @@ from tests.test_core_diagnosis import (
 
 INTERVAL = 2000
 
-APPS = {
-    "overflow": (OVERFLOW_APP, [8] * 10 + [64] + [8] * 10 + [0]),
-    "dangling_read": (DANGLING_READ_APP,
-                      [1] * 5 + [1, 2, 3, 4] + [1] * 5 + [0]),
-    "dangling_write": (DANGLING_WRITE_APP,
-                       [2] * 6 + [1, 2, 3, 4] + [2] * 6 + [0]),
-    "double_free": (DOUBLE_FREE_APP, [1] * 8 + [2] + [1] * 8 + [0]),
-    "uninit": (UNINIT_APP, [2] * 6 + [1, 2] + [2] * 6 + [0]),
+#: app -> (source, normal token, trigger, benign padding per side)
+SHAPES = {
+    "overflow": (OVERFLOW_APP, 8, [64], 10),
+    "dangling_read": (DANGLING_READ_APP, 1, [1, 2, 3, 4], 5),
+    "dangling_write": (DANGLING_WRITE_APP, 2, [1, 2, 3, 4], 6),
+    "double_free": (DOUBLE_FREE_APP, 1, [2], 8),
+    "uninit": (UNINIT_APP, 2, [1, 2], 6),
 }
+
+
+def shaped(app, prefix, suffix):
+    """The app's trigger between ``prefix`` and ``suffix`` normal
+    tokens, then the halt token."""
+    _, normal, trigger, _ = SHAPES[app]
+    return [normal] * prefix + trigger + [normal] * suffix + [0]
+
+
+APPS = {app: (source, shaped(app, pad, pad))
+        for app, (source, _, _, pad) in SHAPES.items()}
 
 
 def diagnose_with(source, tokens, policy, workers=1, name="t"):
@@ -130,11 +140,9 @@ def test_pruned_consumes_strictly_fewer_probes(app):
        suffix=st.integers(min_value=1, max_value=12))
 @settings(max_examples=20, deadline=None)
 def test_property_policies_agree(app, prefix, suffix):
-    source, base_tokens = APPS[app]
-    # keep the trigger subsequence, randomize the benign padding
-    trigger = [t for t in base_tokens if t != 0][prefix and 0:]
-    normal = base_tokens[0]
-    tokens = [normal] * prefix + trigger + [normal] * suffix + [0]
+    # keep the trigger, randomize the benign padding around it
+    source = SHAPES[app][0]
+    tokens = shaped(app, prefix, suffix)
     results = {}
     for policy in ("fixed", "bandit"):
         diag = diagnose_with(source, tokens, policy)
