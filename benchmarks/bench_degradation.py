@@ -37,6 +37,7 @@ if __name__ == "__main__":  # script mode without PYTHONPATH=src
     sys.path.insert(0, os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+from repro.bench.harness import host_info
 from repro.chaos.storm import StormResult, run_storm
 
 DEFAULT_FAULTS = 50
@@ -87,6 +88,7 @@ def main(argv=None) -> int:
 
     payload = {
         "benchmark": "degradation_ladder",
+        "host": host_info(),
         "faults_requested": args.faults,
         "faults_armed": result.faults_armed,
         "faults_fired": result.faults_fired,

@@ -17,9 +17,9 @@ Measures and gates the sampling plane (``repro.sampling``, DESIGN.md
    and every sampled fleet still prevents its followers.
 
 3. **Rate-0 identity** -- a ``sampling_rate=0`` session attaches no
-   sampler, keeps no sampling stats and publishes beacons without a
-   ``sampling`` section, so it is the pre-sampling session by
-   construction; the same app at rate 1/64 must show all three.
+   guards and publishes beacons without a ``sampling`` section, so it
+   is the pre-sampling session by construction; the same app at rate
+   1/64 must show both.
 
 Runnable as a script::
 
@@ -39,6 +39,7 @@ if __name__ == "__main__":  # script mode without PYTHONPATH=src
     sys.path.insert(0, os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+from repro.bench.harness import host_info
 from repro.bench.sampling import (
     GATE_RATE,
     TTFP_APPS,
@@ -101,7 +102,7 @@ def main(argv=None) -> int:
           f"gate={fleet.gate_passed}")
 
     print("[identity] sampling_rate=0 attaches nothing, "
-          f"1/{GATE_RATE} attaches a sampler ...")
+          f"1/{GATE_RATE} attaches guards ...")
     identity = rate_zero_identity(apps=identity_apps)
     print(f"[identity] apps={len(identity['apps'])} "
           f"mismatches={identity['mismatches']} "
@@ -115,6 +116,7 @@ def main(argv=None) -> int:
     gate_passed = all(gates.values())
     payload = {
         "benchmark": "sampling",
+        "host": host_info(),
         "quick": args.quick,
         "overhead": overhead.to_json(),
         "fleet_ttfp": fleet.to_json(),

@@ -24,9 +24,9 @@ Two measured, gateable claims ride on the sampling plane:
    overall.
 
 A third gate (:func:`rate_zero_identity`) pins the off-switch: a
-``sampling_rate=0`` session attaches no sampler, keeps no sampling
-stats and publishes beacons without a ``sampling`` section, while the
-same app at rate 1/64 has all three.
+``sampling_rate=0`` session attaches no guards and publishes beacons
+without a ``sampling`` section, while the same app at rate 1/64 has
+both.
 
 Everything runs on simulated clocks; results are plain dataclasses so
 ``benchmarks/bench_sampling.py`` can JSON-dump and gate them.
@@ -45,6 +45,7 @@ from repro.checkpoint.manager import CheckpointManager
 from repro.core.runtime import FirstAidConfig
 from repro.heap.extension import ExtensionMode
 from repro.process import Process
+from repro.sampling import SampledGuards
 from repro.store import SharedPatchStore
 
 #: Rates the overhead experiment sweeps (1/N sampled allocations).
@@ -121,8 +122,9 @@ def _overhead_cell(subject: str, tokens: List[int],
     periodic checkpoints, which is where the boundary sweeps live)."""
     app = get_app(subject)
     process = Process(app.program(), input_tokens=tokens,
-                      mode=ExtensionMode.NORMAL,
-                      sampling_rate=rate)
+                      mode=ExtensionMode.NORMAL)
+    if rate > 0:
+        process.extension.guards = SampledGuards(rate)
     manager = CheckpointManager(process)
     manager.run()
     stats = process.extension.sampling_stats
@@ -366,10 +368,10 @@ def run_fleet_ttfp(apps: Tuple[str, ...] = TTFP_APPS,
 def rate_zero_identity(apps: Optional[Tuple[str, ...]] = None,
                        triggers: int = 1) -> dict:
     """The off-switch: a ``sampling_rate=0`` session attaches no
-    sampler and keeps no sampling stats -- so every sampling branch is
-    skipped and the session is the pre-sampling one -- and its beacons
-    carry no ``sampling`` section.  The same app at ``GATE_RATE`` must
-    show all three, so the check fails if the off-switch leaks."""
+    guards -- so every sampling branch is skipped and the session is
+    the pre-sampling one -- and its beacons carry no ``sampling``
+    section.  The same app at ``GATE_RATE`` must show both, so the
+    check fails if the off-switch leaks."""
     names = list(apps) if apps \
         else [a.name for a in real_bug_apps()]
     mismatches = []
@@ -386,10 +388,9 @@ def rate_zero_identity(apps: Optional[Tuple[str, ...]] = None,
                 ext = runtime.process.extension
                 beacons = runtime.health.load().live_beacons().values()
                 runtime.close()
-                seen.append((ext.sampler is not None,
-                             ext.sampling_stats is not None,
+                seen.append((ext.guards is not None,
                              all("sampling" in b for b in beacons)))
-            if seen != [(False,) * 3, (True,) * 3]:
+            if seen != [(False, False), (True, True)]:
                 mismatches.append(name)
     return {"apps": names, "triggers": triggers, "rate": GATE_RATE,
             "mismatches": mismatches, "gate_passed": not mismatches}

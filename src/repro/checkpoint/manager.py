@@ -114,7 +114,6 @@ class CheckpointManager:
                  overhead_target: float = 0.05,
                  max_interval: int = 20 * DEFAULT_INTERVAL,
                  events: Optional[EventLog] = None,
-                 enabled: bool = True,
                  incremental: bool = True,
                  keyframe_every: int = DEFAULT_KEYFRAME_EVERY,
                  telemetry=None,
@@ -129,7 +128,6 @@ class CheckpointManager:
         self.overhead_target = overhead_target
         self.max_interval = max_interval
         self.events = events if events is not None else EventLog()
-        self.enabled = enabled
         #: incremental=False reproduces the seed's full-copy behaviour
         #: (every checkpoint a keyframe, every rollback a full
         #: rebuild); kept for A/B benchmarks and ablations.
@@ -302,14 +300,12 @@ class CheckpointManager:
         other than an interval boundary stops it (halt, fault, input
         exhaustion, or the optional step budget)."""
         process = self.process
-        if self.enabled and not self.checkpoints:
+        if not self.checkpoints:
             self.take_checkpoint()
             if self.on_boundary is not None:
                 self.on_boundary()
         remaining = max_steps
         while True:
-            if not self.enabled:
-                return process.run(max_steps=remaining)
             boundary = process.instr_count + self.interval
             step = self.interval
             if remaining is not None:
@@ -335,10 +331,10 @@ class CheckpointManager:
         checkpoint.  A hit freezes the machine on the guard fault --
         exactly the state an in-run fault leaves -- so the failure
         flows through the ordinary monitor/diagnosis path.  A no-op
-        (one attribute check) unless a sampler is attached and active.
+        (one attribute check) unless guards are attached.
         """
         extension = self.process.extension
-        if extension.sampler is None:
+        if extension.guards is None:
             return None
         try:
             extension.check_sampled_guards()

@@ -29,6 +29,7 @@ from repro.obs.telemetry import Telemetry
 from repro.parallel.executor import make_executor
 from repro.parallel.tasks import PASS_REASONS, WINDOW_INTERVALS
 from repro.process import Process
+from repro.sampling import SampledGuards
 from repro.search.state import check_policy
 from repro.util.events import EventLog
 from repro.vm.machine import RunReason, RunResult
@@ -261,11 +262,12 @@ class FirstAidRuntime:
             quarantine_threshold=self.config.quarantine_threshold,
             entropy_seed=self.config.entropy_seed,
             vm_tier=self.config.vm_tier,
-            sampling_rate=self.config.sampling_rate,
             **kw)
         process.extension.patch_memory_limit = self.config.max_patch_memory
-        if self.config.chaos is not None:
-            process.extension.sampling_chaos = self.config.chaos
+        if self.config.sampling_rate > 0:
+            process.extension.guards = SampledGuards(
+                self.config.sampling_rate, self.config.entropy_seed,
+                self.config.chaos)
         process.attach_telemetry(self.telemetry)
         return process
 
@@ -403,14 +405,14 @@ class FirstAidRuntime:
             # rollback restores the work counters, so the replay is
             # counted exactly once, and the recovered run stays guarded.
             # (_respawn may swap the process; unpause the current one.)
-            self.process.extension.sampling_paused = True
+            self._pause_guards(True)
             try:
                 if self.config.supervisor:
                     record = self._supervisor().handle(failure)
                 else:
                     record = self._handle_failure_traced(failure)
             finally:
-                self.process.extension.sampling_paused = False
+                self._pause_guards(False)
             record.wall_s = time.perf_counter() - started
             span.set(succeeded=record.succeeded,
                      recovery_time_ns=record.recovery_time_ns)
@@ -429,6 +431,11 @@ class FirstAidRuntime:
                     reasons=([a.describe() for a in trail]
                              or list(record.notes)))
             return record
+
+    def _pause_guards(self, paused: bool) -> None:
+        guards = self.process.extension.guards
+        if guards is not None:
+            guards.paused = paused
 
     def _supervisor(self):
         if self._recovery_supervisor is None:

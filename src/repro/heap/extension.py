@@ -31,18 +31,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.bugtypes import BugType
-from repro.errors import HeapCorruptionFault, SampledGuardFault
+from repro.errors import HeapCorruptionFault
 from repro.heap.allocator import LeaAllocator
 from repro.heap.base import Memory
 from repro.heap.canary import CanaryStats, canary_fill, corrupted_offsets
 from repro.heap.chunk import HEADER_SIZE
-from repro.heap.quarantine import (
-    DEFAULT_THRESHOLD,
-    ORIGIN_PATCH,
-    ORIGIN_SAMPLED,
-    DelayFreeQuarantine,
-)
+from repro.heap.quarantine import DEFAULT_THRESHOLD, DelayFreeQuarantine
 from repro.util.callsite import CallSite
 from repro.util.simclock import CostModel, SimClock
 
@@ -303,26 +297,10 @@ class AllocatorExtension:
         self.quarantine = DelayFreeQuarantine(
             self._release_quarantined, quarantine_threshold)
 
-        # Sampled always-on detection (GWP-ASan-style): when a
-        # SampleSelector is attached, every 1/N allocations in NORMAL
-        # mode is promoted to a guarded allocation (redzone canaries +
-        # delayed-free canary fill); a guard hit raises
-        # SampledGuardFault with the attribution already in hand.
-        # None (the default) leaves every code path byte-identical to
-        # the pre-sampling build.
-        self.sampler = None
-        self.sampling_stats = None
-        #: Optional chaos fault plan: an armed "sampled_false_positive"
-        #: forces a guard hit on the next sampled free even though the
-        #: canaries are intact (exercises validation's rejection path).
-        self.sampling_chaos = None
-        #: True while the runtime is inside recovery (rollback
-        #: re-execution, any ladder rung): the replayed window was
-        #: already sampled once, and a fresh guard raised mid-replay
-        #: would read as "re-execution failed" and walk the ladder on a
-        #: window the patch just fixed.  Transient control state --
-        #: deliberately not part of snapshot/restore.
-        self.sampling_paused = False
+        #: Sampled always-on detection: a
+        #: :class:`repro.sampling.guards.SampledGuards`, or None (the
+        #: default), which leaves every code path the unsampled one.
+        self.guards = None
 
         self._objects: Dict[int, ObjectInfo] = {}
         self._starts: List[int] = []            # sorted block starts
@@ -402,144 +380,29 @@ class AllocatorExtension:
         tm.sampled_scans.set(stats.guard_scans)
 
     # ------------------------------------------------------------------
-    # sampled always-on detection
+    # sampled guards (repro.sampling.guards)
     # ------------------------------------------------------------------
 
-    def attach_sampler(self, selector) -> None:
-        """Enable GWP-ASan-style sampled detection: ``selector`` is a
-        :class:`repro.sampling.SampleSelector` (or None to disable)."""
-        self.sampler = selector
-        if selector is None:
-            self.sampling_stats = None
-        else:
-            from repro.sampling import SamplingStats
-            self.sampling_stats = SamplingStats()
+    @property
+    def sampling_stats(self):
+        """The guards' counters, or None without guards."""
+        return self.guards.stats if self.guards is not None else None
 
-    def _sampling_active(self) -> bool:
-        # sampling_paused deliberately does NOT gate this: selection,
-        # promotion, and accounting continue through a recovery replay
-        # (rollback restored the work counters, so re-counting the
-        # replayed window is counting it exactly once) and the
-        # post-recovery tail of the session stays guarded.  The pause
-        # only swallows the *raise* -- see _raise_guard.
-        return (self.sampler is not None
+    def _guarding(self) -> bool:
+        # The guards act only in NORMAL mode with patching enabled.
+        # Their ``paused`` flag does not gate this: it swallows the
+        # raise only.
+        return (self.guards is not None
                 and self.mode is ExtensionMode.NORMAL
                 and not self.patching_disabled)
 
-    def _raise_guard(self, detection, address: int) -> None:
-        """Raise a guard hit -- unless sampling is paused (recovery is
-        replaying a window the guards already saw; a fresh raise
-        mid-replay would fail the rung), or a patch for this exact
-        (bug type, site) already exists, in which case the bug is
-        already being prevented and re-raising would loop the pipeline
-        on its own patch forever."""
-        if self.sampling_paused:
-            return
-        stats = self.sampling_stats
-        site = detection.site
-        has_patch = getattr(self.policy, "has_patch", None)
-        if (site is not None and has_patch is not None
-                and has_patch(detection.bug_type, site)):
-            stats.suppressed += 1
-            self._sync_sampling_metrics()
-            return
-        stats.detections += 1
-        if not stats.first_detection_ns:
-            stats.first_detection_ns = \
-                self.clock.now_ns if self.clock else 0
-        self._sync_sampling_metrics()
-        raise SampledGuardFault(detection.describe(), address=address,
-                                detection=detection)
-
-    def _make_detection(self, bug_type, obj: ObjectInfo,
-                        free_site: Optional[CallSite],
-                        offset: Optional[int]):
-        from repro.core.bugtypes import BugType as _BT
-        from repro.sampling import SampledDetection
-        if (bug_type is _BT.BUFFER_OVERFLOW and offset is not None
-                and offset < 0):
-            # Corruption in the guarded object's *pre* redzone: the
-            # victim did not overstep itself -- its left neighbour ran
-            # off its end.  Attribute the culprit, not the victim, or
-            # the fast-path patch pads an object nothing oversteps.
-            culprit = self._left_neighbor(obj)
-            if culprit is not None:
-                return SampledDetection(
-                    bug_type=bug_type, alloc_site=culprit.alloc_site,
-                    free_site=free_site, size=culprit.user_size,
-                    offset=obj.user_addr + offset - culprit.user_addr,
-                    alloc_seq=culprit.alloc_seq,
-                    time_ns=self.clock.now_ns if self.clock else 0)
-        return SampledDetection(
-            bug_type=bug_type, alloc_site=obj.alloc_site,
-            free_site=free_site, size=obj.user_size, offset=offset,
-            alloc_seq=obj.alloc_seq,
-            time_ns=self.clock.now_ns if self.clock else 0)
-
-    def _left_neighbor(self, obj: ObjectInfo) -> Optional[ObjectInfo]:
-        """Nearest tracked object whose block precedes ``obj``'s."""
-        i = bisect.bisect_left(self._starts, obj.block_addr) - 1
-        if i < 0:
-            return None
-        neighbor = self._objects.get(self._by_start[self._starts[i]])
-        if neighbor is None or neighbor.state is ObjectState.FREED:
-            return None
-        return neighbor
-
-    def _guard_redzone_offsets(self, obj: ObjectInfo) -> Optional[int]:
-        """First corrupted redzone offset of a guarded object (relative
-        to the user payload start; negative = pre redzone), or None."""
-        stats = self.canary_stats
-        pre = corrupted_offsets(self.mem, obj.block_addr, obj.pad_pre,
-                                stats)
-        post = corrupted_offsets(self.mem, obj.user_addr + obj.user_size,
-                                 obj.pad_post, stats)
-        self._sync_canary_metrics()
-        if post:
-            return obj.user_size + post[0]
-        if pre:
-            return pre[0] - obj.pad_pre
-        return None
-
     def check_sampled_guards(self) -> None:
-        """Boundary sweep over currently-guarded objects: live guards'
-        redzones and quarantined guards' free canaries.  Raises
-        :class:`SampledGuardFault` on the first corruption found --
-        this is what makes detection *timely* rather than waiting for
-        the guarded object's free or eviction.  The runtime calls this
-        at checkpoint boundaries; it is a no-op outside NORMAL mode or
-        without a sampler."""
-        if not self._sampling_active():
-            return
-        from repro.core.bugtypes import BugType
-        self.sampling_stats.guard_scans += 1
-        scanned = 0
-        for obj in self._objects.values():
-            if not obj.sampled or obj.state is ObjectState.FREED:
-                continue
-            if obj.state is ObjectState.LIVE and obj.canary_pad:
-                scanned += obj.pad_pre + obj.pad_post
-                offset = self._guard_redzone_offsets(obj)
-                if offset is not None:
-                    self._charge(self.costs.fill_cost(scanned))
-                    self._raise_guard(self._make_detection(
-                        BugType.BUFFER_OVERFLOW, obj, None, offset),
-                        obj.user_addr)
-            elif (obj.state is ObjectState.QUARANTINED
-                  and obj.canary_filled_on_free
-                  and obj.free_patch_id is None):
-                scanned += obj.user_size
-                offs = corrupted_offsets(self.mem, obj.user_addr,
-                                         obj.user_size, self.canary_stats)
-                if offs:
-                    self._sync_canary_metrics()
-                    self._charge(self.costs.fill_cost(scanned))
-                    self._raise_guard(self._make_detection(
-                        BugType.DANGLING_WRITE, obj, obj.free_site,
-                        offs[0]), obj.user_addr)
-        self._charge(self.costs.fill_cost(scanned))
-        self._sync_canary_metrics()
-        self._sync_sampling_metrics()
+        """Boundary sweep of the guarded objects (raises
+        :class:`~repro.errors.SampledGuardFault` on a hit).  The
+        checkpoint manager calls this after each boundary checkpoint;
+        it is a no-op unless the guards may act."""
+        if self._guarding():
+            self.guards.sweep(self, self._objects.values())
 
     # ------------------------------------------------------------------
     # helpers
@@ -568,6 +431,16 @@ class AllocatorExtension:
         if i < len(self._starts) and self._starts[i] == obj.block_addr:
             self._starts.pop(i)
         self._by_start.pop(obj.block_addr, None)
+
+    def left_neighbor(self, obj: ObjectInfo) -> Optional[ObjectInfo]:
+        """Nearest tracked object whose block precedes ``obj``'s."""
+        i = bisect.bisect_left(self._starts, obj.block_addr) - 1
+        if i < 0:
+            return None
+        neighbor = self._objects.get(self._by_start[self._starts[i]])
+        if neighbor is None or neighbor.state is ObjectState.FREED:
+            return None
+        return neighbor
 
     def find_object(self, addr: int) -> Optional[ObjectInfo]:
         """Tracked object whose *block* (padding included) covers addr."""
@@ -600,21 +473,10 @@ class AllocatorExtension:
         if self.patching_disabled and decision.patch_id is not None:
             decision = AllocDecision.plain()
         sampled = False
-        if self._sampling_active():
-            self.sampling_stats.allocs += 1
-            if (decision.patch_id is None
-                    and self.sampler.picks(self._alloc_seq + 1)):
-                # Promote to a guarded allocation: redzone canaries on
-                # both sides.  A patched site is already protected, so
-                # sampling only guards unpatched allocations (this is
-                # also what keeps a recovered run from re-detecting its
-                # own bug).
-                sampled = True
-                decision = AllocDecision(pad_pre=PAD_PRE,
-                                         pad_post=PAD_POST,
-                                         canary_pad=True,
-                                         fill=decision.fill)
-                self.sampling_stats.sampled_allocs += 1
+        if self.guards is not None and self._guarding():
+            guarded = self.guards.promote(decision, self._alloc_seq + 1)
+            if guarded is not None:
+                decision, sampled = guarded, True
                 self._sync_sampling_metrics()
         block_size = decision.pad_pre + size + decision.pad_post
         block_addr = self.allocator.malloc(block_size)
@@ -703,39 +565,13 @@ class AllocatorExtension:
         decision = self.policy.on_free(callsite, user_addr)
         if self.patching_disabled and decision.patch_id is not None:
             decision = FreeDecision.plain()
-        guarded = obj.sampled and self._sampling_active()
-        if guarded:
-            # Free-time redzone check: an overflow is caught here,
-            # before the corrupted neighbourhood is ever dereferenced
-            # (i.e. before the eventual crash).
-            offset = self._guard_redzone_offsets(obj)
-            if offset is not None:
-                self._raise_guard(self._make_detection(
-                    BugType.BUFFER_OVERFLOW, obj, callsite, offset),
-                    user_addr)
-            chaos = self.sampling_chaos
-            if (chaos is not None and decision.patch_id is None
-                    and not self.sampling_paused
-                    and chaos.take("sampled_false_positive")):
-                # Injected false positive: the guard "fires" on an
-                # intact object.  Validation must reject the resulting
-                # patch (the unpatched baseline passes).
-                self._raise_guard(self._make_detection(
-                    BugType.BUFFER_OVERFLOW, obj, callsite, None),
-                    user_addr)
+        if obj.sampled and self._guarding():
+            decision = self.guards.on_free(self, obj, callsite, decision)
         obj.free_site = callsite
         obj.free_patch_id = decision.patch_id
         self._alloc_seq += 1
         if decision.patch_id is not None:
             self.patch_trigger_count += 1
-
-        if guarded and decision.patch_id is None and not decision.delay:
-            # Promote to a guarded free: delayed-free quarantine with
-            # free-canary fill, so a dangling write lands in memory
-            # nobody owns and is detected at the next boundary sweep.
-            decision = FreeDecision(delay=True, canary_fill=True,
-                                    check_param=True)
-            self.sampling_stats.sampled_frees += 1
 
         if decision.delay:
             obj.state = ObjectState.QUARANTINED
@@ -744,12 +580,8 @@ class AllocatorExtension:
                 canary_fill(self.mem, user_addr, obj.user_size,
                             self.canary_stats)
                 self._charge(self.costs.fill_cost(obj.user_size))
-            origin = ORIGIN_SAMPLED if (guarded
-                                        and decision.patch_id is None) \
-                else ORIGIN_PATCH
             self.quarantine.add(user_addr, obj.user_size, callsite,
-                                decision.canary_fill, decision.patch_id,
-                                origin=origin)
+                                decision.canary_fill, decision.patch_id)
         else:
             self._really_free(obj)
 
@@ -783,16 +615,8 @@ class AllocatorExtension:
         or diagnostic mode) it is recorded and swallowed; otherwise it is
         forwarded and the allocator aborts, crashing the program."""
         decision = self.policy.on_free(callsite, user_addr)
-        if (obj is not None and obj.state is ObjectState.QUARANTINED
-                and obj.sampled and self._sampling_active()
-                and decision.patch_id is None):
-            # A guarded object freed twice: without the sampled delay
-            # the first free would have really freed it and this one
-            # would have crashed the allocator.  Pre-crash detection
-            # with both free sites in hand.
-            self._raise_guard(self._make_detection(
-                BugType.DOUBLE_FREE, obj, obj.free_site or callsite,
-                None), user_addr)
+        if obj is not None and obj.sampled and self._guarding():
+            self.guards.on_bad_free(self, obj, callsite, decision)
         # A quarantined object is no longer the allocator's to free, so
         # the extension must intercept regardless of policy; otherwise
         # the check runs only when a policy/patch requests it.
@@ -837,15 +661,8 @@ class AllocatorExtension:
             return
         if obj.canary_filled_on_free:
             offs = self._check_quarantine_canary(obj)
-            if (offs and obj.sampled and self._sampling_active()
-                    and obj.free_patch_id is None):
-                # Last-chance dangling-write detection before the
-                # guarded object's memory is recycled.  Rollback
-                # restores the heap, so the half-evicted state this
-                # raise leaves behind never survives recovery.
-                self._raise_guard(self._make_detection(
-                    BugType.DANGLING_WRITE, obj, obj.free_site,
-                    offs[0]), obj.user_addr)
+            if offs and obj.sampled and self._guarding():
+                self.guards.on_evict(self, obj, offs[0])
         self._really_free(obj)
 
     # ------------------------------------------------------------------
@@ -878,22 +695,25 @@ class AllocatorExtension:
     # manifestation evidence
     # ------------------------------------------------------------------
 
-    def _check_pad_canaries(self, obj: ObjectInfo) -> None:
-        if not obj.canary_pad:
-            return
+    def pad_corruption(self, obj: ObjectInfo) -> Tuple[List[int], List[int]]:
+        """Corrupted offsets in ``obj``'s pre and post pads."""
         stats = self.canary_stats
         pre = corrupted_offsets(self.mem, obj.block_addr, obj.pad_pre,
                                 stats)
-        if pre:
-            self._overflow_hits.append(OverflowHit(
-                obj.user_addr, obj.user_size, obj.alloc_site, "pre", pre))
-        post_start = obj.user_addr + obj.user_size
-        post = corrupted_offsets(self.mem, post_start, obj.pad_post,
-                                 stats)
-        if post:
-            self._overflow_hits.append(OverflowHit(
-                obj.user_addr, obj.user_size, obj.alloc_site, "post", post))
+        post = corrupted_offsets(self.mem, obj.user_addr + obj.user_size,
+                                 obj.pad_post, stats)
         self._sync_canary_metrics()
+        return pre, post
+
+    def _check_pad_canaries(self, obj: ObjectInfo) -> None:
+        if not obj.canary_pad:
+            return
+        pre, post = self.pad_corruption(obj)
+        for side, offsets in (("pre", pre), ("post", post)):
+            if offsets:
+                self._overflow_hits.append(OverflowHit(
+                    obj.user_addr, obj.user_size, obj.alloc_site, side,
+                    offsets))
 
     def _check_quarantine_canary(self, obj: ObjectInfo) -> List[int]:
         offs = corrupted_offsets(self.mem, obj.user_addr, obj.user_size,
@@ -1007,8 +827,8 @@ class AllocatorExtension:
             self.metadata_bytes, self.peak_metadata_bytes,
             self.padding_bytes, self.peak_padding_bytes,
             self.patch_trigger_count, self.patching_disabled,
-            self.sampling_stats.snapshot()
-            if self.sampling_stats is not None else None,
+            self.guards.stats.snapshot()
+            if self.guards is not None else None,
         )
 
     def restore(self, snap: tuple) -> None:
@@ -1032,5 +852,5 @@ class AllocatorExtension:
         self.peak_padding_bytes = peak_pad
         self.patch_trigger_count = triggers
         self.patching_disabled = disabled
-        if sampling_snap is not None and self.sampling_stats is not None:
-            self.sampling_stats.restore(sampling_snap)
+        if sampling_snap is not None and self.guards is not None:
+            self.guards.stats.restore(sampling_snap)

@@ -16,29 +16,20 @@ old delay-freed objects is usually safe but may in theory undermine the
 patch -- we reproduce that policy, including the accounting Table 5
 measures.
 
-Two planes now share this single quarantine: preventive-mode /
-patch-governed delayed frees (origin ``"patch"``) and sampled guarded
-frees (origin ``"sampled"``, GWP-ASan-style always-on detection).  One
-FIFO, one byte budget, one eviction pass -- an object enters exactly
-once under exactly one origin, so activating both modes can never
-double-drain an entry or double-count an eviction.  ``evictions`` stays
-the Table 5 total; ``evictions_by_origin`` splits it so the sampling
-plane can report its own churn.
+Patch-governed delayed frees and sampled guarded frees
+(:mod:`repro.sampling.guards`) share this one FIFO, byte budget and
+eviction count.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from repro.util.callsite import CallSite
 
 DEFAULT_THRESHOLD = 1024 * 1024  # 1 MB, as in the paper's experiments
-
-#: Who put an object into the quarantine.
-ORIGIN_PATCH = "patch"      # preventive mode / patch-governed delay free
-ORIGIN_SAMPLED = "sampled"  # sampled guarded free (always-on detection)
 
 
 @dataclass
@@ -51,7 +42,6 @@ class QuarantinedObject:
     seq: int              # global free sequence number, for FIFO age
     canary_filled: bool   # exposing variant fills contents with canary
     patch_id: Optional[int] = None  # patch that delayed this free, if any
-    origin: str = ORIGIN_PATCH      # which plane delay-freed it
 
 
 class DelayFreeQuarantine:
@@ -72,21 +62,17 @@ class DelayFreeQuarantine:
         #: "accumulated memory space occupied by delay-freed objects").
         self.accumulated_bytes = 0
         self.evictions = 0
-        #: Per-origin split of ``evictions`` (keys: ORIGIN_PATCH,
-        #: ORIGIN_SAMPLED).  Invariant: sum == evictions.
-        self.evictions_by_origin: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
 
     def add(self, user_addr: int, user_size: int,
             free_site: Optional[CallSite], canary_filled: bool,
-            patch_id: Optional[int] = None,
-            origin: str = ORIGIN_PATCH) -> QuarantinedObject:
+            patch_id: Optional[int] = None) -> QuarantinedObject:
         if user_addr in self._objects:
             raise KeyError(f"0x{user_addr:x} already quarantined")
         self._seq += 1
         obj = QuarantinedObject(user_addr, user_size, free_site, self._seq,
-                                canary_filled, patch_id, origin)
+                                canary_filled, patch_id)
         self._objects[user_addr] = obj
         self._bytes += user_size
         self.accumulated_bytes += user_size
@@ -101,17 +87,6 @@ class DelayFreeQuarantine:
     def get(self, user_addr: int) -> Optional[QuarantinedObject]:
         return self._objects.get(user_addr)
 
-    def find_containing(self, addr: int) -> Optional[QuarantinedObject]:
-        """The quarantined object whose payload covers ``addr``, if any.
-
-        Linear scan: the quarantine is small by construction (bounded by
-        the threshold), and this is only called on classification paths.
-        """
-        for obj in self._objects.values():
-            if obj.user_addr <= addr < obj.user_addr + obj.user_size:
-                return obj
-        return None
-
     @property
     def current_bytes(self) -> int:
         return self._bytes
@@ -124,16 +99,11 @@ class DelayFreeQuarantine:
 
     # ------------------------------------------------------------------
 
-    def _count_eviction(self, obj: QuarantinedObject) -> None:
-        self.evictions += 1
-        self.evictions_by_origin[obj.origin] = \
-            self.evictions_by_origin.get(obj.origin, 0) + 1
-
     def _evict_to_threshold(self) -> None:
         while self._bytes > self.threshold_bytes and self._objects:
             _addr, obj = self._objects.popitem(last=False)  # oldest first
             self._bytes -= obj.user_size
-            self._count_eviction(obj)
+            self.evictions += 1
             self._release(obj.user_addr)
 
     def pop_oldest(self) -> Optional[QuarantinedObject]:
@@ -143,7 +113,7 @@ class DelayFreeQuarantine:
             return None
         _addr, obj = self._objects.popitem(last=False)
         self._bytes -= obj.user_size
-        self._count_eviction(obj)
+        self.evictions += 1
         self._release(obj.user_addr)
         if self.observer is not None:
             self.observer(self._bytes, len(self._objects))
@@ -152,12 +122,10 @@ class DelayFreeQuarantine:
     def drain(self) -> List[QuarantinedObject]:
         """Really free everything; returns the drained entries.  Each
         release is an eviction and counts as one -- Table 5's eviction
-        accounting must not silently skip bulk drains.  Entries are
-        drained from the single shared FIFO exactly once each, whatever
-        mix of origins is present."""
+        accounting must not silently skip bulk drains."""
         drained = list(self._objects.values())
         for obj in drained:
-            self._count_eviction(obj)
+            self.evictions += 1
             self._release(obj.user_addr)
         self._objects.clear()
         self._bytes = 0
@@ -173,27 +141,14 @@ class DelayFreeQuarantine:
         # (e.g. patch_id reassignment) bleed into old checkpoints.
         return ([replace(o) for o in self._objects.values()],
                 self._bytes, self._seq,
-                self.accumulated_bytes, self.evictions,
-                dict(self.evictions_by_origin))
+                self.accumulated_bytes, self.evictions)
 
     def restore(self, snap: tuple) -> None:
-        # Seed-era snapshots are 5-tuples without the per-origin split.
-        if len(snap) == 5:
-            objs, nbytes, seq, acc, ev = snap
-            by_origin: Dict[str, int] = {}
-        else:
-            objs, nbytes, seq, acc, ev, by_origin = snap
-        self._objects = OrderedDict(
-            (o.user_addr, QuarantinedObject(o.user_addr, o.user_size,
-                                            o.free_site, o.seq,
-                                            o.canary_filled, o.patch_id,
-                                            getattr(o, "origin",
-                                                    ORIGIN_PATCH)))
-            for o in objs)
+        objs, nbytes, seq, acc, ev = snap
+        self._objects = OrderedDict((o.user_addr, replace(o)) for o in objs)
         self._bytes = nbytes
         self._seq = seq
         self.accumulated_bytes = acc
         self.evictions = ev
-        self.evictions_by_origin = dict(by_origin)
         if self.observer is not None:
             self.observer(self._bytes, len(self._objects))

@@ -62,8 +62,7 @@ class Process:
                  quarantine_threshold: int = DEFAULT_THRESHOLD,
                  entropy_seed: int = 1,
                  output: Optional[OutputLog] = None,
-                 vm_tier: str = TIER_REFERENCE,
-                 sampling_rate: int = 0):
+                 vm_tier: str = TIER_REFERENCE):
         self.program = program
         self.costs = costs or CostModel()
         self.clock = clock or SimClock()
@@ -72,15 +71,6 @@ class Process:
         self.extension = AllocatorExtension(
             self.mem, self.allocator, mode, policy, self.clock, self.costs,
             quarantine_threshold)
-        self.sampling_rate = sampling_rate
-        if sampling_rate > 0:
-            # Sampled always-on detection: every ~1/rate allocations is
-            # promoted to a guarded allocation, deterministically via
-            # the process entropy salt.  Rate 0 (the default) attaches
-            # nothing and leaves every code path byte-identical.
-            from repro.sampling import SampleSelector
-            self.extension.attach_sampler(
-                SampleSelector(sampling_rate, entropy_seed))
         if input_stream is not None:
             self.input = input_stream
         else:

@@ -7,7 +7,7 @@ exists.  GWP-ASan (PAPERS.md) shows that guarding a *sampled* subset
 of allocations with redzones and delayed-free canaries catches
 production memory bugs pre-crash at negligible overhead.
 
-This package provides the two pure pieces of that plane:
+This package holds the whole plane:
 
 * :class:`SampleSelector` -- deterministic 1/N selection over the
   allocation sequence number, salted by the process entropy seed.
@@ -22,15 +22,18 @@ This package provides the two pure pieces of that plane:
   where :meth:`DiagnosticEngine.diagnose_sampled` seeds the
   change-group directly from it (skipping most of diagnosis phase 1).
 
-The impure half -- guard placement, canary checks, quarantine origin
-accounting -- lives in :mod:`repro.heap.extension`, which consumes the
-selector and produces detections.
+* :class:`SampledGuards` -- the guards themselves: promotion to a
+  guarded allocation, the delayed guarded free, the four detection
+  points and the one hit path.  The allocator extension holds them as
+  ``extension.guards`` and calls one hook at each of its sites.
 """
 
 from repro.sampling.detect import SampledDetection, SamplingStats
+from repro.sampling.guards import SampledGuards
 from repro.sampling.selector import SampleSelector, mix64
 
 __all__ = [
+    "SampledGuards",
     "SampleSelector",
     "SampledDetection",
     "SamplingStats",

@@ -70,13 +70,6 @@ class SamplingStats:
     guard_scans: int = 0          # boundary sweeps over live guards
     first_detection_ns: int = 0   # sim time of the first guard hit
 
-    @property
-    def effective_rate(self) -> float:
-        """Observed sampling fraction (sampled / all allocations)."""
-        if not self.allocs:
-            return 0.0
-        return self.sampled_allocs / self.allocs
-
     def snapshot(self) -> tuple:
         return (self.allocs, self.sampled_allocs, self.sampled_frees,
                 self.detections, self.suppressed, self.guard_scans,

@@ -102,14 +102,6 @@ class TestQuarantine:
         q.add(0x2000, 100, None, False)   # evicts the first
         assert q.accumulated_bytes == 200  # still counts both
 
-    def test_find_containing(self):
-        q, _ = self.make()
-        q.add(0x1000, 100, None, False)
-        assert q.find_containing(0x1000).user_addr == 0x1000
-        assert q.find_containing(0x1063).user_addr == 0x1000
-        assert q.find_containing(0x1064) is None
-        assert q.find_containing(0xFFF) is None
-
     def test_drain(self):
         q, released = self.make()
         q.add(0x1000, 10, None, False)
@@ -152,11 +144,11 @@ class TestQuarantine:
         q, _ = self.make()
         q.add(0x1000, 10, None, False)
         snap = q.snapshot()
-        live = q.find_containing(0x1000)
+        live = q.get(0x1000)
         live.patch_id = 99
         live.canary_filled = True
         q.restore(snap)
-        restored = q.find_containing(0x1000)
+        restored = q.get(0x1000)
         assert restored.patch_id is None
         assert restored.canary_filled is False
 

@@ -127,16 +127,9 @@ class TestCheckpointManager:
         # working set, so page counts stay small and bounded
         assert all(count <= 4 for count in pages[1:])
 
-    def test_disabled_manager_never_checkpoints(self):
-        p = make_process(COUNTER_LOOP, tokens=[1, 2, 0])
-        manager = CheckpointManager(p, enabled=False)
-        result = manager.run()
-        assert result.reason is RunReason.HALT
-        assert manager.stats.checkpoints_taken == 0
-
     def test_no_checkpoint_error(self):
         p = make_process(COUNTER_LOOP, tokens=[0])
-        manager = CheckpointManager(p, enabled=False)
+        manager = CheckpointManager(p)  # not run yet: no checkpoint
         with pytest.raises(CheckpointError):
             manager.latest()
 

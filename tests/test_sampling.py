@@ -1,9 +1,9 @@
 """Sampled always-on detection (repro.sampling + heap/runtime wiring).
 
-Covers the selector's determinism contract, every guard-hit family in
-the allocator extension, the shared quarantine's per-origin eviction
-accounting, the fast-path diagnosis end to end, the chaos
-false-positive rejection, the rate-0 off-switch identity, and the
+Covers the selector's determinism contract, every guard-hit family of
+the guards the allocator extension carries, the fast-path diagnosis
+end to end, the chaos false-positive rejection, one diagnosis across
+workers and search policy, the rate-0 off-switch identity, and the
 health-beacon byte-compat rules.
 """
 
@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.apps.registry import get_app
-from repro.bench.harness import spaced_workload
+from repro.bench.harness import run_app_session, spaced_workload
 from repro.chaos import ChaosPlan
 from repro.core.bugtypes import BugType
 from repro.core.runtime import FirstAidConfig, FirstAidRuntime
@@ -26,13 +26,9 @@ from repro.heap.extension import (
     AllocatorExtension,
     ExtensionMode,
 )
-from repro.heap.quarantine import (
-    ORIGIN_PATCH,
-    ORIGIN_SAMPLED,
-    DelayFreeQuarantine,
-)
 from repro.obs.health import FleetHealthAggregator, HealthBeacon
-from repro.sampling import SampledDetection, SampleSelector, SamplingStats
+from repro.sampling import SampledGuards, SampleSelector, SamplingStats
+from repro.util.simclock import CostModel, SimClock
 from tests.conftest import site
 
 
@@ -72,11 +68,11 @@ class TestSelector:
 # guard mechanics (extension level)
 # ---------------------------------------------------------------------
 
-def make_sampled_extension(rate: int = 1) -> AllocatorExtension:
+def make_sampled_extension(rate: int = 1, clock=None) -> AllocatorExtension:
     mem = Memory()
     ext = AllocatorExtension(mem, LeaAllocator(mem),
-                             ExtensionMode.NORMAL)
-    ext.attach_sampler(SampleSelector(rate=rate))
+                             ExtensionMode.NORMAL, clock=clock)
+    ext.guards = SampledGuards(rate)
     return ext
 
 
@@ -161,7 +157,7 @@ class TestGuardMechanics:
         ext = make_sampled_extension()
         addr = ext.malloc(32, site(("alloc_fn", 1)))
         ext.mem.write_bytes(addr + 32, b'\x41')
-        ext.sampling_paused = True
+        ext.guards.paused = True
         ext.free(addr, site(("free_fn", 1)))
         ext.check_sampled_guards()
         assert ext.sampling_stats.detections == 0
@@ -170,9 +166,29 @@ class TestGuardMechanics:
         mem = Memory()
         ext = AllocatorExtension(mem, LeaAllocator(mem),
                                  ExtensionMode.DIAGNOSTIC)
-        ext.attach_sampler(SampleSelector(rate=1))
+        ext.guards = SampledGuards(rate=1)
         addr = ext.malloc(32, site(("alloc_fn", 1)))
         assert not ext.object_at(addr).sampled
+
+    @staticmethod
+    def _sweep_charge(corrupt: bool) -> int:
+        clock = SimClock()
+        ext = make_sampled_extension(clock=clock)
+        ext.policy.has_patch = lambda bug_type, at: True
+        addrs = [ext.malloc(32, site(("alloc_fn", i))) for i in range(4)]
+        if corrupt:
+            ext.mem.write_bytes(addrs[0] + 32, b'\x41')
+        before = clock.now_ns
+        ext.check_sampled_guards()
+        return clock.now_ns - before
+
+    def test_sweep_charges_each_scanned_byte_once(self):
+        """A swallowed hit (here: suppressed, the site already has a
+        patch) lets the sweep go on; the bytes scanned before it must
+        not be charged a second time at the end of the sweep."""
+        clean = self._sweep_charge(corrupt=False)
+        assert clean == CostModel().fill_cost(4 * (PAD_PRE + PAD_POST))
+        assert self._sweep_charge(corrupt=True) == clean
 
 
 class TestSamplingStats:
@@ -196,46 +212,6 @@ class TestSamplingStats:
         stats.first_detection_ns = 3000
         stats.restore(snap)
         assert stats.first_detection_ns == 3000
-
-
-# ---------------------------------------------------------------------
-# shared quarantine: per-origin eviction accounting
-# ---------------------------------------------------------------------
-
-class TestQuarantineOrigins:
-    def _quarantine(self, threshold):
-        released = []
-        q = DelayFreeQuarantine(released.append, threshold)
-        return q, released
-
-    def test_eviction_split_by_origin(self):
-        q, released = self._quarantine(threshold=100)
-        q.add(0x1000, 60, None, False, origin=ORIGIN_PATCH)
-        q.add(0x2000, 60, None, True, origin=ORIGIN_SAMPLED)
-        q.add(0x3000, 60, None, True, origin=ORIGIN_SAMPLED)
-        # 180 bytes > 100: the two oldest evict, one per origin.
-        assert released == [0x1000, 0x2000]
-        assert q.evictions == 2
-        assert q.evictions_by_origin == {ORIGIN_PATCH: 1,
-                                         ORIGIN_SAMPLED: 1}
-
-    def test_drain_counts_every_origin_once(self):
-        q, _ = self._quarantine(threshold=10_000)
-        q.add(0x1000, 10, None, False, origin=ORIGIN_PATCH)
-        q.add(0x2000, 10, None, True, origin=ORIGIN_SAMPLED)
-        q.drain()
-        assert q.evictions == 2
-        assert sum(q.evictions_by_origin.values()) == q.evictions
-
-    def test_split_survives_snapshot_restore(self):
-        q, _ = self._quarantine(threshold=16)
-        q.add(0x1000, 10, None, True, origin=ORIGIN_SAMPLED)
-        q.add(0x2000, 10, None, False, origin=ORIGIN_PATCH)  # evicts 1st
-        snap = q.snapshot()
-        q.add(0x3000, 10, None, False, origin=ORIGIN_PATCH)  # evicts 2nd
-        q.restore(snap)
-        assert q.evictions == 1
-        assert q.evictions_by_origin == {ORIGIN_SAMPLED: 1}
 
 
 # ---------------------------------------------------------------------
@@ -286,13 +262,41 @@ class TestFastPathEndToEnd:
             runtime.close()
 
 
+class TestAcrossWorkersAndPolicy:
+    @pytest.mark.parametrize("false_positive", [False, True],
+                             ids=["guard", "false_positive"])
+    @pytest.mark.parametrize("app", ["mutt", "pine", "squid"])
+    def test_guard_hits_keep_one_diagnosis(self, app, false_positive):
+        """A guard hit -- real, or the injected false positive that
+        validation rejects -- is diagnosed the same serially, at two
+        workers and under the bandit search policy: the guards live in
+        the recovering process, never in a worker."""
+        seen = []
+        for workers, policy in ((1, "fixed"), (2, "fixed"),
+                                (2, "bandit")):
+            config = dict(sampling_rate=64, workers=workers,
+                          search_policy=policy)
+            plan = None
+            if false_positive:
+                plan = ChaosPlan()
+                plan.arm("sampled_false_positive", 1)
+                config.update(sampling_rate=1, chaos=plan)
+            digest = run_app_session(app, triggers=2, seed=11, **config)
+            if plan is not None:
+                assert plan.fired["sampled_false_positive"] == 1
+            assert digest.first_detection_ns > 0
+            seen.append((digest.diagnosis_key(), digest.first_detection_ns,
+                         digest.sampled_prevented))
+        assert seen[0] == seen[1] == seen[2]
+
+
 class TestRateZeroIdentity:
     def test_rate_zero_attaches_no_sampler(self, tmp_path):
-        """The off-switch: at rate 0 nothing is attached -- no sampler,
-        no stats, no ``sampling`` beacon section -- so every sampling
-        branch is skipped and the session is the pre-sampling one.
-        The same app at 1/64 has all three, so a leak (say, a rate-0
-        selector attached anyway) fails here."""
+        """The off-switch: at rate 0 nothing is attached -- no guards,
+        no ``sampling`` beacon section -- so every sampling branch is
+        skipped and the session is the pre-sampling one.  The same app
+        at 1/64 has both, so a leak (say, rate-0 guards attached
+        anyway) fails here."""
         app = get_app("pine")
         wl = spaced_workload(app, triggers=1)
         surface = {}
@@ -306,7 +310,7 @@ class TestRateZeroIdentity:
             runtime.close()
             ext = runtime.process.extension
             beacon = runtime.health.load().live_beacons()["p"]
-            surface[rate] = (ext.sampler is not None,
+            surface[rate] = (ext.guards is not None,
                              ext.sampling_stats is not None,
                              "sampling" in beacon)
         assert surface == {0: (False, False, False),
