@@ -16,7 +16,9 @@ a recovery performs cheap.  Three claims, measured here:
 3. **Equivalence** -- every session digest is byte-identical between
    tiers, *including* the simulated-clock fields (``clock_ns``,
    recovery/validation sim time): the compiled tier changes how fast
-   the host executes, never what the simulation observes.
+   the host executes, never what the simulation observes.  Validation
+   runs trace accesses, so this also proves the compiled tier's access
+   watch against the reference tier's ``note_access`` on every access.
 
 Also reported: fusion statistics (constant folds, compare+branch
 fusions, threaded jumps, closed loops, promoted slots) and the
@@ -42,7 +44,7 @@ if __name__ == "__main__":  # script mode without PYTHONPATH=src
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.apps.registry import all_apps
-from repro.bench.harness import run_app_session
+from repro.bench.harness import host_info, run_app_session
 from repro.heap.allocator import LeaAllocator
 from repro.heap.base import Memory
 from repro.heap.extension import AllocatorExtension, ExtensionMode
@@ -369,7 +371,10 @@ def main(argv=None) -> int:
             "warm kernel numbers are the re-execution case (program "
             "cache hit); end-to-end compares full First-Aid sessions "
             "per tier -- behaviour and simulated clocks are asserted "
-            "byte-identical, wall clock is the speedup"),
+            "byte-identical (validation runs: the compiled tier's "
+            "access watch against a note_access call per access), "
+            "wall clock is the speedup"),
+        "host": host_info(),
         "kernels": kernels,
         "program_cache": cache,
         "end_to_end": e2e,

@@ -628,5 +628,3 @@ class FirstAidRuntime:
     def _back_to_normal(self, policy=None) -> None:
         self.process.set_mode(ExtensionMode.NORMAL,
                               self.policy if policy is None else policy)
-        self.process.machine.trace_accesses = False
-        self.process.extension.trace_mm = False

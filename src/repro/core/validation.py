@@ -4,8 +4,11 @@ A patch that merely *happens* to dodge the failure through a lucky heap
 layout must not stay installed (and must not mislead developers).  The
 validation engine re-executes the buggy region three times, each with a
 differently-seeded randomized allocator, with full memory-management
-and illegal-access tracing enabled (this repo's Pin analogue), and
-checks that the patch's effect is consistent:
+and illegal-access tracing enabled (this repo's Pin analogue,
+:meth:`~repro.process.Process.trace_accesses`; the compiled VM tier
+pays for a traced access only where the allocator extension's watch
+says it can record), and checks that the patch's effect is
+consistent:
 
 (a) the patch is triggered the same number of times in every run;
 (b) the same number of illegal accesses is neutralized by the patch;

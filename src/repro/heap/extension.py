@@ -323,6 +323,9 @@ class AllocatorExtension:
         self.mm_trace: List[MMTraceEntry] = []
         self.illegal_accesses: List[IllegalAccess] = []
         self.trace_mm = False
+        #: Access watch (build_watch): the 8-byte granules holding every
+        #: address where note_access can act, or None (no watch).
+        self.watch: Optional[set] = None
 
         # Statistics for the space-overhead experiments.
         self.metadata_bytes = 0
@@ -520,6 +523,8 @@ class AllocatorExtension:
             self.padding_bytes += pad
             if self.padding_bytes > self.peak_padding_bytes:
                 self.peak_padding_bytes = self.padding_bytes
+        if self.watch is not None and (pad or obj.written is not None):
+            self._watch_update(obj, self.watch.update)
         if decision.patch_id is not None:
             self.patch_trigger_count += 1
         if self.trace_mm:
@@ -580,6 +585,9 @@ class AllocatorExtension:
                 canary_fill(self.mem, user_addr, obj.user_size,
                             self.canary_stats)
                 self._charge(self.costs.fill_cost(obj.user_size))
+            if self.watch is not None:
+                # Before the add, which may evict the object at once.
+                self._watch_update(obj, self.watch.update)
             self.quarantine.add(user_addr, obj.user_size, callsite,
                                 decision.canary_fill, decision.patch_id)
         else:
@@ -646,10 +654,14 @@ class AllocatorExtension:
 
     def _really_free(self, obj: ObjectInfo) -> None:
         self._check_pad_canaries(obj)
+        pad = obj.pad_pre + obj.pad_post
+        if self.watch is not None and (
+                pad or obj.written is not None
+                or obj.state is ObjectState.QUARANTINED):
+            self._watch_update(obj, self.watch.difference_update)
         obj.state = ObjectState.FREED
         self._index_remove(obj)
         self.metadata_bytes -= METADATA_BYTES
-        pad = obj.pad_pre + obj.pad_post
         if pad:
             self.padding_bytes -= pad
         self.allocator.free(obj.block_addr)
@@ -768,10 +780,15 @@ class AllocatorExtension:
 
     def note_access(self, addr: int, size: int, is_write: bool,
                     instr_id: Tuple[str, int]) -> None:
-        """Classify one load/store against tracked objects.
+        """Classify one access starting at ``addr`` against tracked
+        objects and charge ``trace_ns``.
 
-        Only wired up in validation mode; the machine calls this for
-        every LOAD/STORE when ``trace_accesses`` is set.
+        Called when the machine's ``trace_accesses`` is set: the
+        reference tier calls it on every LOAD, STORE, MEMSET and
+        MEMCPY; the compiled tier calls it only when ``addr``'s granule
+        is in :attr:`watch` (every access, when there is no watch) and
+        defers the other accesses' ``trace_ns`` to the batched
+        sim-time.
         """
         self._charge(self.costs.trace_ns)
         obj = self.find_object(addr)
@@ -803,6 +820,51 @@ class AllocatorExtension:
                     kind="uninit-read", instr_id=instr_id, offset=off,
                     is_write=False, site=obj.alloc_site,
                     patch_id=obj.patch_id))
+
+    def build_watch(self) -> None:
+        """Start keeping :attr:`watch`: the set of 8-byte granules
+        (``addr >> 3``) that cover every address where
+        :meth:`note_access` can record an :class:`IllegalAccess` or
+        mark init bytes.  A granule holding both such and other bytes
+        is watched, and note_access decides there.  Blocks start and
+        end on 16-byte boundaries, so no granule spans two blocks.
+
+        The watch is derived state: malloc, the delayed and the real
+        free keep it current, restore rebuilds it, and snapshots leave
+        it out.  Its deferred charge is exact only when this extension
+        charges the machine's clock (:meth:`Process.trace_accesses
+        <repro.process.Process.trace_accesses>`), and a flight recorder
+        attached to it would stamp a hit before the deferred charges.
+        """
+        self.watch = set()
+        for obj in self._objects.values():
+            if obj.state is not ObjectState.FREED:
+                self._watch_update(obj, self.watch.update)
+
+    def _watch_update(self, obj: ObjectInfo,
+                      op: Callable[[range], None]) -> None:
+        """Apply ``op`` (the watch's ``update`` or
+        ``difference_update``) to the granules of ``obj`` where
+        note_access can act: a quarantined object's whole block; a
+        live one's pre-pad, its post-pad when ``pad_post > 0``, and its
+        user region when init-tracked.  Nothing, for a live object
+        with neither pads nor an init bitmap: malloc and the real free
+        skip the call for those."""
+        start = obj.block_addr
+        end = start + obj.block_size
+        if obj.state is ObjectState.QUARANTINED:
+            spans = ((start, end),)
+        else:
+            user_end = obj.user_addr + obj.user_size
+            if not obj.pad_post:
+                end = user_end
+            if obj.written is not None:
+                spans = ((start, end),)
+            else:
+                spans = ((start, obj.user_addr), (user_end, end))
+        for lo, hi in spans:
+            if lo < hi:
+                op(range(lo >> 3, (hi + 7) >> 3))
 
     def _record_illegal(self, access: IllegalAccess) -> None:
         self.illegal_accesses.append(access)
@@ -854,3 +916,5 @@ class AllocatorExtension:
         self.patching_disabled = disabled
         if sampling_snap is not None and self.guards is not None:
             self.guards.stats.restore(sampling_snap)
+        if self.watch is not None:
+            self.build_watch()

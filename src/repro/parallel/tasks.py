@@ -200,7 +200,8 @@ def run_task(program: Program, task: ReexecTask) -> TaskOutcome:
         policy = task.policy or ChangePolicy()
         process.set_mode(ExtensionMode.DIAGNOSTIC, policy)
     process.extension.trace_mm = task.trace_mm
-    process.machine.trace_accesses = task.trace_accesses
+    if task.trace_accesses:
+        process.trace_accesses()
     process.reseed_entropy(task.salt)
     marking = None
     if task.mark:

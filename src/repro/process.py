@@ -117,6 +117,16 @@ class Process:
             self.machine.attach_metrics(telemetry.metrics)
             self.extension.attach_telemetry(telemetry)
 
+    def trace_accesses(self) -> None:
+        """Trace every heap access from now on (the Pin analogue of
+        validation, paper Section 5): the machine reports each access
+        to the extension, and the extension builds its watch, so the
+        compiled tier calls ``note_access`` only where it can record.
+        The watch's deferred ``trace_ns`` lands on the machine's
+        clock, which is the extension's here."""
+        self.machine.trace_accesses = True
+        self.extension.build_watch()
+
     def reseed_entropy(self, seed: int) -> None:
         """Fresh entropy for RAND -- each execution *attempt* gets its
         own environment nondeterminism, which is never checkpointed."""

@@ -25,7 +25,12 @@ identical sim-time charging (batched ``pending_ns`` with flushes at
 MALLOC/FREE/OUT and run exits, inline MEMSET/MEMCPY fill costs), exact
 ``instr_count`` so ``stop_at`` checkpoint boundaries land on the same
 instruction, identical fault ``instr_id`` and call-site capture, and
-identical ``trace_accesses`` behaviour.  The contract on frame state is
+identical access tracing: the same illegal accesses and init marks in
+the same order, and the same clock at every flush.  The reference tier
+calls ``note_access`` on every traced access; the compiled tier calls
+it only where the extension's watch says it can act, and adds the
+other accesses' ``trace_ns`` to the batched sim-time.  The contract on
+frame state is
 that every architectural write is in ``frame.locals`` at every exit
 from the closure: a value lives in its slot's Python local and a
 literal may be deferred, but every path that leaves the closure
@@ -64,7 +69,10 @@ Superinstruction fusion, applied during emission:
   words; :data:`~repro.heap.base.UINT_STRUCTS` for the rest) and
   dirty-page marking inline, delegating to
   :class:`~repro.heap.base.Memory` only on the faulting path (which
-  re-raises the byte-identical ``SegmentationFault``).
+  re-raises the byte-identical ``SegmentationFault``).  When tracing,
+  LOAD, STORE, MEMSET and MEMCPY test the access's 8-byte granule
+  against the extension's watch inline
+  (:meth:`~repro.heap.extension.AllocatorExtension.build_watch`).
 
 Compiled programs are cached process-wide keyed by *code identity*
 (:meth:`Program.code_key`), so the thousands of re-executions a single
@@ -563,10 +571,7 @@ class CompiledFunction:
             em.emit(f"if {ln}:")
             a = em.fresh_temp()
             em.emit(f"    {a} = {em.read(instr[1])}")
-            em.globals[f"_iid{pc}"] = (self.name, pc)
-            em.emit("    if trace:")
-            em.emit(f"        ext.note_access({a}, {ln}, True, "
-                    f"_iid{pc})")
+            self._emit_trace(em, pc, a, ln, True, "    ")
             em.emit(f"    mem.fill({a}, {em.read(instr[2])} & 255, "
                     f"{ln})")
             em.emit(f"    clock.charge(costs.fill_cost({ln}))")
@@ -583,12 +588,8 @@ class CompiledFunction:
             s = em.fresh_temp()
             em.emit(f"    {d} = {em.read(instr[1])}")
             em.emit(f"    {s} = {em.read(instr[2])}")
-            em.globals[f"_iid{pc}"] = (self.name, pc)
-            em.emit("    if trace:")
-            em.emit(f"        ext.note_access({s}, {ln}, False, "
-                    f"_iid{pc})")
-            em.emit(f"        ext.note_access({d}, {ln}, True, "
-                    f"_iid{pc})")
+            self._emit_trace(em, pc, s, ln, False, "    ")
+            self._emit_trace(em, pc, d, ln, True, "    ")
             em.emit(f"    mem.copy_within({d}, {s}, {ln})")
             em.emit(f"    clock.charge(costs.fill_cost({ln}))")
             em.emit("    nr += 1")
@@ -666,15 +667,32 @@ class CompiledFunction:
         em.emit(f"{a} = {base} + {off!r}")
         return a
 
+    def _emit_trace(self, em: _Emitter, pc: int, addr: str, size: str,
+                    is_write: bool, indent: str = "") -> None:
+        """Access tracing for one access at ``addr``: with the
+        extension's watch, ``note_access`` runs only when ``addr``'s
+        8-byte granule is watched; elsewhere it could only charge
+        ``trace_ns``, which joins the pending sim-time instead, so the
+        clock reads the same at every flush.  Without a watch (an
+        extension that charges no clock, say) every access calls it.
+        The watch is read on the traced path only, so an untraced
+        block runs no extra code."""
+        em.globals[f"_iid{pc}"] = (self.name, pc)
+        em.emit(f"{indent}if trace:")
+        em.emit(f"{indent}    _w = ext.watch")
+        em.emit(f"{indent}    if _w is None or ({addr} >> 3) in _w:")
+        em.emit(f"{indent}        ext.note_access({addr}, {size}, "
+                f"{is_write}, _iid{pc})")
+        em.emit(f"{indent}    else:")
+        em.emit(f"{indent}        _pd += ext.costs.trace_ns")
+
     def _emit_load(self, em: _Emitter, pc: int, index: int,
                    instr) -> None:
         em.needs.update(("fault", "mem", "trace", "counters"))
         em.breadcrumb(pc, index)
         size = instr[4]
         a = self._addr_expr(em, instr[2], instr[3])
-        em.globals[f"_iid{pc}"] = (self.name, pc)
-        em.emit("if trace:")
-        em.emit(f"    ext.note_access({a}, {size!r}, False, _iid{pc})")
+        self._emit_trace(em, pc, a, repr(size), False)
         # Memory.read_uint inlined: bounds check + little-endian
         # decode; the failing branch calls the real method, which
         # raises the byte-identical SegmentationFault.
@@ -697,9 +715,7 @@ class CompiledFunction:
         size = instr[3]
         val_slot = instr[4]
         a = self._addr_expr(em, instr[1], instr[2])
-        em.globals[f"_iid{pc}"] = (self.name, pc)
-        em.emit("if trace:")
-        em.emit(f"    ext.note_access({a}, {size!r}, True, _iid{pc})")
+        self._emit_trace(em, pc, a, repr(size), True)
         o = em.fresh_temp()
         em.emit(f"{o} = {a} - mbase")
         lit = em.read_value(val_slot)

@@ -1,8 +1,16 @@
 """Unit tests for the allocator extension (normal / diagnostic /
-validation modes, changes, manifestation evidence, access tracing)."""
+validation modes, changes, manifestation evidence, access tracing and
+its watch)."""
+
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.apps.registry import real_bug_apps
+from repro.bench.harness import run_first_aid, spaced_workload
+from repro.core.runtime import FirstAidConfig
+from repro.core.validation import ValidationEngine
 from repro.errors import HeapCorruptionFault
 from repro.heap.allocator import LeaAllocator
 from repro.heap.base import Memory
@@ -18,6 +26,8 @@ from repro.heap.extension import (
     PAD_POST,
     PAD_PRE,
 )
+from repro.heap.random_alloc import RandomizedLeaAllocator
+from repro.parallel.tasks import run_task
 from repro.util.callsite import CallSite
 
 SITE_A = CallSite([("alloc_site", 1), ("main", 10)])
@@ -292,3 +302,201 @@ class TestSnapshotRestore:
         ext.free(a, SITE_F)
         assert [e.op for e in ext.mm_trace] == ["malloc", "free"]
         assert ext.mm_trace[0].user_addr == a
+
+
+# ---------------------------------------------------------------------------
+# the access watch: exact under every object transition, and useful
+# ---------------------------------------------------------------------------
+
+#: Quarantine budget of the watch properties: a 600-byte object evicts
+#: itself on its own delayed free.
+WATCH_QUARANTINE = 512
+
+_WATCH_ALLOCS = {
+    "plain": AllocDecision(),
+    "pads": AllocDecision(pad_pre=PAD_PRE, pad_post=PAD_POST,
+                          canary_pad=True, patch_id=1),
+    "guard": AllocDecision(pad_pre=PAD_PRE, pad_post=PAD_POST,
+                           canary_pad=True),      # sampled: no patch id
+    "pre": AllocDecision(pad_pre=PAD_PRE, patch_id=2),
+    "zero": AllocDecision(fill="zero", patch_id=3),
+    "pads+zero": AllocDecision(pad_pre=PAD_PRE, pad_post=PAD_POST,
+                               fill="zero", patch_id=4),
+}
+_WATCH_FREES = {
+    "plain": FreeDecision(),
+    "delay": FreeDecision(delay=True, check_param=True, patch_id=5),
+    "delay+canary": FreeDecision(delay=True, canary_fill=True,
+                                 check_param=True, patch_id=6),
+}
+
+#: Two delayed frees put 510 bytes in quarantine and the second trips a
+#: 1000-byte patch-memory limit, which pops the oldest; then a padded
+#: malloc comes out plain and a guard keeps its pads.
+FAILSAFE_SCRIPT = [("malloc", 300, "zero"), ("malloc", 210, "pre"),
+                   ("free", 0, "delay"), ("free", 0, "delay+canary"),
+                   ("malloc", 64, "pads"), ("malloc", 64, "guard")]
+
+_watch_op = st.one_of(
+    st.tuples(st.just("malloc"), st.integers(min_value=0, max_value=600),
+              st.sampled_from(sorted(_WATCH_ALLOCS))),
+    st.tuples(st.just("free"), st.integers(min_value=0, max_value=63),
+              st.sampled_from(sorted(_WATCH_FREES))),
+    st.tuples(st.just("pop_oldest")),
+    st.tuples(st.just("drain")),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore")),
+)
+
+
+def can_act(obj, addr):
+    """Whether note_access can record, or mark init bytes, for an
+    access starting at ``addr`` inside ``obj``'s block: its rules,
+    restated over the object's own geometry."""
+    if obj.state is ObjectState.QUARANTINED:
+        return True
+    return (obj.in_pre_pad(addr) or obj.in_post_pad(addr)
+            or (obj.written is not None and obj.contains(addr)))
+
+
+def assert_watch_exact(ext):
+    """Brute force over every byte of every tracked block (outside
+    them note_access finds no object): each byte where note_access can
+    act lies in a watched granule, and each watched granule lies in
+    one tracked block that is not FREED."""
+    watch = ext.watch
+    for obj in ext._objects.values():
+        if obj.state is ObjectState.FREED:
+            continue
+        for addr in range(obj.block_addr, obj.block_addr + obj.block_size):
+            if can_act(obj, addr):
+                assert addr >> 3 in watch, (hex(addr), obj)
+    for granule in watch:
+        obj = ext.find_object(granule << 3)
+        assert obj is not None and obj.state is not ObjectState.FREED
+        assert ext.find_object((granule << 3) + 7) is obj
+
+
+def run_watch_script(script, randomized, limit):
+    mem = Memory()
+    allocator = (RandomizedLeaAllocator(mem, 7) if randomized
+                 else LeaAllocator(mem))
+    policy = FixedPolicy()
+    ext = AllocatorExtension(mem, allocator, ExtensionMode.VALIDATION,
+                             policy,
+                             quarantine_threshold=WATCH_QUARANTINE)
+    ext.patch_memory_limit = limit
+    ext.build_watch()
+    live, saved = [], None
+    for op in script:
+        kind = op[0]
+        if kind == "malloc":
+            policy.alloc_decision = _WATCH_ALLOCS[op[2]]
+            live.append(ext.malloc(op[1], SITE_A))
+        elif kind == "free" and live:
+            policy.free_decision = _WATCH_FREES[op[2]]
+            ext.free(live.pop(op[1] % len(live)), SITE_F)
+        elif kind == "pop_oldest":
+            ext.quarantine.pop_oldest()
+        elif kind == "drain":
+            ext.quarantine.drain()
+        elif kind == "snapshot":
+            saved = (mem.snapshot(), allocator.snapshot(),
+                     ext.snapshot(), list(live))
+        elif kind == "restore" and saved is not None:
+            mem.restore(saved[0])
+            allocator.restore(saved[1])
+            ext.restore(saved[2])
+            live = list(saved[3])
+        assert_watch_exact(ext)
+    return ext
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_watch_op, max_size=24), st.booleans(),
+       st.sampled_from((None, 1000, 6000)))
+@example([("malloc", 600, "pads+zero"), ("free", 0, "delay+canary")],
+         False, None)
+@example(FAILSAFE_SCRIPT, True, 1000)
+def test_watch_covers_exactly_where_note_access_acts(script, randomized,
+                                                     limit):
+    """After every malloc, free (plain, delayed, or evicting itself),
+    quarantine eviction, ``pop_oldest``, ``drain``, snapshot and
+    restore -- through a trip of the patch-memory failsafe -- the watch
+    covers every address where note_access can act and nothing
+    outside the tracked blocks.  The explicit examples pin a 600-byte
+    object evicted by its own delayed free and a failsafe trip."""
+    ext = run_watch_script(script, randomized, limit)
+    assert ext.watch is not None
+
+
+def test_watch_sees_self_eviction_and_failsafe():
+    ext = run_watch_script(
+        [("malloc", 600, "pads+zero"), ("free", 0, "delay")], False,
+        None)
+    assert ext.quarantine.evictions == 1 and len(ext.quarantine) == 0
+    assert ext.watch == set()
+    ext = run_watch_script(FAILSAFE_SCRIPT, True, 1000)
+    assert ext.patching_disabled
+    assert ext.quarantine.evictions == 1
+    # The second delayed free trips it; the guard's pads come after.
+    assert ext.watch
+
+
+def test_watch_stays_out_of_snapshots():
+    ext = make_ext(FixedPolicy(alloc=AllocDecision(
+        pad_pre=PAD_PRE, pad_post=PAD_POST, patch_id=1)),
+        mode=ExtensionMode.VALIDATION)
+    plain = make_ext(FixedPolicy(alloc=AllocDecision(
+        pad_pre=PAD_PRE, pad_post=PAD_POST, patch_id=1)),
+        mode=ExtensionMode.VALIDATION)
+    ext.build_watch()
+    for e in (ext, plain):
+        e.malloc(64, SITE_A)
+    assert ext.watch and plain.watch is None
+    assert ext.snapshot() == plain.snapshot()
+
+
+@pytest.mark.parametrize("app", real_bug_apps(), ids=lambda a: a.name)
+def test_validation_task_calls_note_access_for_few_accesses(app,
+                                                            monkeypatch):
+    """One validation task per app, captured as the runtime builds it:
+    on the compiled tier (watch) it calls note_access for at most a
+    tenth of the accesses the reference tier (every access) traces,
+    and its outcome equals the reference tier's."""
+
+    class Captured(BaseException):
+        pass
+
+    build = ValidationEngine._task
+
+    def capture(self, *args, **kwargs):
+        raise Captured(build(self, *args, **kwargs))
+
+    monkeypatch.setattr(ValidationEngine, "_task", capture)
+    with pytest.raises(Captured) as caught:
+        run_first_aid(app, spaced_workload(app, 1),
+                      FirstAidConfig(workers=1, search_policy="fixed"))
+    task = caught.value.args[0]
+    assert task.trace_accesses
+    note = AllocatorExtension.note_access
+    calls = []
+
+    def counting(self, *args):
+        calls.append(args)
+        note(self, *args)
+
+    monkeypatch.setattr(AllocatorExtension, "note_access", counting)
+    outcomes = {}
+    for tier in ("reference", "compiled"):
+        calls.clear()
+        out = run_task(app.program(), replace(task, vm_tier=tier))
+        outcomes[tier] = (len(calls), out)
+    (traced, ref), (called, cmp_) = (outcomes["reference"],
+                                     outcomes["compiled"])
+    assert traced > 0 and called <= traced / 10
+    assert (cmp_.passed, repr(cmp_.result), cmp_.time_ns,
+            cmp_.illegal_accesses, cmp_.mm_trace,
+            cmp_.manifestations) == \
+        (ref.passed, repr(ref.result), ref.time_ns,
+         ref.illegal_accesses, ref.mm_trace, ref.manifestations)

@@ -7,16 +7,23 @@ out-of-bounds offsets, division by runtime zeros, input exhaustion --
 and runs every one under both tiers, comparing the full observable
 surface: run reasons, fault type/message/instr_id, frame freezes,
 instruction counts, the simulated clock, output timestamps, memory
-snapshots and the input cursor.  ``stop_at`` chunking is fuzzed too, so
-checkpoint boundaries that land mid-block (the reference-tail path) are
-exercised continuously.
+snapshots, the input cursor and the allocator extension's state
+(illegal accesses in order, the mm trace).  ``stop_at`` chunking is
+fuzzed too, so checkpoint boundaries that land mid-block (the
+reference-tail path) are exercised continuously.
+
+A traced-validation mode runs the programs the way a validation task
+does: the extension in VALIDATION mode on the machine's clock, a
+policy that pads, zero-fills or delay-frees by allocation site and
+freed size, and the access watch built.  The reference tier, which
+calls ``note_access`` on every access, is the watch's oracle.
 
 Deterministic unit tests below pin the compiler's structure: block
 planning and jump threading, loop closing and slot promotion, fusion
 statistics, the literal-divisor fast path, the cross-machine program
 cache, the input-rewind accounting regression, every exit of a promoted
-loop and of a straight-line block, and the shape of the seven apps'
-compiled sources.
+loop and of a straight-line block, every access-tracing outcome through
+each memory op, and the shape of the seven apps' compiled sources.
 """
 
 import re
@@ -27,7 +34,16 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.registry import real_bug_apps
 from repro.heap.allocator import LeaAllocator
 from repro.heap.base import Memory
-from repro.heap.extension import AllocatorExtension, ExtensionMode
+from repro.heap.extension import (
+    PAD_POST,
+    PAD_PRE,
+    AllocDecision,
+    AllocatorExtension,
+    ChangePolicy,
+    ExtensionMode,
+    FreeDecision,
+)
+from repro.process import Process
 from repro.vm import compile as vmc
 from repro.vm import isa
 from repro.vm.builder import ProgramBuilder
@@ -39,8 +55,61 @@ from repro.vm.machine import Machine
 # ---------------------------------------------------------------------------
 
 
+#: Quarantine budget of the traced-validation mode: small enough that
+#: the fuzzer's 3000- and 9000-byte objects evict others, or
+#: themselves, on their delayed free.
+VALIDATION_QUARANTINE = 4096
+
+
+class SitePolicy(ChangePolicy):
+    """The traced-validation mode's policy: each allocation site pads
+    (both ends, the front only, or with no patch id, as a sampled guard
+    does), zero-fills (an init bitmap), both, or nothing, by its pc
+    plus ``salt``; a free is delayed by the freed object's size.  It
+    looks sizes up through ``ext`` (set once the process exists)."""
+
+    ALLOCS = (
+        AllocDecision(),
+        AllocDecision(pad_pre=PAD_PRE, pad_post=PAD_POST,
+                      canary_pad=True, patch_id=1),
+        AllocDecision(fill="zero", patch_id=2),
+        AllocDecision(pad_pre=PAD_PRE, pad_post=PAD_POST, fill="zero",
+                      patch_id=3),
+        AllocDecision(pad_pre=PAD_PRE, patch_id=4),
+        AllocDecision(pad_pre=PAD_PRE, pad_post=PAD_POST,
+                      canary_pad=True),
+    )
+
+    def __init__(self, salt=0):
+        self.salt = salt
+        self.ext = None
+
+    def on_alloc(self, callsite):
+        pc = callsite.innermost[1] if callsite else 0
+        return self.ALLOCS[(pc + self.salt) % len(self.ALLOCS)]
+
+    def on_free(self, callsite, user_addr):
+        obj = self.ext.object_at(user_addr)
+        if obj is None or (obj.user_size // 8 + self.salt) % 3 == 0:
+            return FreeDecision.plain()
+        return FreeDecision(delay=True, check_param=True,
+                            canary_fill=obj.user_size > 64, patch_id=5)
+
+
 def machine_for(program, tokens=(), tier=vmc.TIER_REFERENCE,
-                trace=False):
+                trace=False, salt=None):
+    """A bare machine, traced or not; or, with a ``salt``, the
+    traced-validation mode (a :class:`Process` with the watch built)."""
+    if salt is not None:
+        policy = SitePolicy(salt)
+        process = Process(program, input_tokens=list(tokens),
+                          mode=ExtensionMode.VALIDATION, policy=policy,
+                          quarantine_threshold=VALIDATION_QUARANTINE,
+                          vm_tier=tier)
+        policy.ext = process.extension
+        process.extension.trace_mm = True
+        process.trace_accesses()
+        return process.machine
     mem = Memory()
     ext = AllocatorExtension(mem, LeaAllocator(mem),
                              ExtensionMode.DIAGNOSTIC)
@@ -51,6 +120,7 @@ def machine_for(program, tokens=(), tier=vmc.TIER_REFERENCE,
 
 
 def observe(m):
+    ext = m.extension
     return dict(
         instr_count=m.instr_count,
         clock=m.clock.now_ns,
@@ -64,16 +134,20 @@ def observe(m):
         output=tuple(m.output.entries()),
         mem=m.mem.snapshot(),
         input_cursor=m.input.snapshot(),
+        illegal_accesses=tuple(ext.illegal_accesses),
+        mm_trace=tuple(ext.mm_trace),
+        extension=ext.snapshot(),
     )
 
 
 def run_differential(program, tokens=(), trace=False, chunks=None,
-                     max_runs=20000):
+                     max_runs=20000, salt=None):
     """Run ``program`` under both tiers and assert every observable
-    matches; ``chunks`` re-enters via ``stop_at`` budgets."""
+    matches; ``chunks`` re-enters via ``stop_at`` budgets and ``salt``
+    selects the traced-validation mode."""
     results = []
     for tier in vmc.TIERS:
-        m = machine_for(program, tokens, tier, trace)
+        m = machine_for(program, tokens, tier, trace, salt)
         reasons = []
         if chunks is None:
             reasons.append(m.run().reason)
@@ -102,6 +176,8 @@ _sym = st.sampled_from(("+", "-", "*", "&", "|", "^", "<<", ">>",
 #: Offsets range past the 64-byte buffer so stores/loads sometimes
 #: fault (SegmentationFault identity is part of the differential).
 _off = st.integers(min_value=0, max_value=96)
+#: The traced-validation mode also reaches back into pre-pads.
+_voff = st.integers(min_value=-24, max_value=96)
 
 #: Loads and stores go through ``p`` (fixed) or ``q``, which MALLOC
 #: re-points -- at sizes that grow the heap, so accesses inside a loop
@@ -110,27 +186,33 @@ _off = st.integers(min_value=0, max_value=96)
 _ptr = st.sampled_from(("p", "q"))
 _alloc = st.sampled_from((8, 64, 3000, 9000))
 
-_op = st.one_of(
-    st.tuples(st.just("binop"), _sym, _var, _var, _var),
-    st.tuples(st.just("addi"), _var, _var,
-              st.integers(min_value=-8, max_value=64)),
-    st.tuples(st.just("out"), _var),
-    st.tuples(st.just("in"), _var),
-    st.tuples(st.just("store"), _ptr, _var, _off, _size),
-    st.tuples(st.just("load"), _var, _ptr, _off, _size),
-    st.tuples(st.just("call"), _var, _var),
-    st.tuples(st.just("memset"), _var, _off),
-    st.tuples(st.just("memcpy"), _off),
-    st.tuples(st.just("gstore"), _var),
-    st.tuples(st.just("gload"), _var),
-    st.tuples(st.just("malloc"), _alloc),
-    st.tuples(st.just("free"),),
-    st.tuples(st.just("rand"), _var),
-)
+
+def _op_strategy(off):
+    return st.one_of(
+        st.tuples(st.just("binop"), _sym, _var, _var, _var),
+        st.tuples(st.just("addi"), _var, _var,
+                  st.integers(min_value=-8, max_value=64)),
+        st.tuples(st.just("out"), _var),
+        st.tuples(st.just("in"), _var),
+        st.tuples(st.just("store"), _ptr, _var, off, _size),
+        st.tuples(st.just("load"), _var, _ptr, off, _size),
+        st.tuples(st.just("call"), _var, _var),
+        st.tuples(st.just("memset"), _var, _off),
+        st.tuples(st.just("memcpy"), _off),
+        st.tuples(st.just("gstore"), _var),
+        st.tuples(st.just("gload"), _var),
+        st.tuples(st.just("malloc"), _alloc),
+        st.tuples(st.just("free"),),
+        st.tuples(st.just("rand"), _var),
+    )
+
+
+_op = _op_strategy(_off)
 
 _inits = st.tuples(*([st.integers(min_value=0, max_value=2 ** 48)]
                      * len(VARS)))
 _ops = st.lists(_op, max_size=16)
+_vops = st.lists(_op_strategy(_voff), max_size=16)
 _tokens = st.lists(st.integers(min_value=0, max_value=2 ** 40),
                    max_size=6)
 
@@ -220,6 +302,21 @@ def test_fuzz_chunked_stop_at_matches_reference(inits, pre_ops,
                                                 tokens, chunks):
     program = build_random_program(inits, pre_ops, loop_ops, n_loop)
     run_differential(program, tokens=tokens, chunks=chunks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_inits, _vops, _vops, st.integers(min_value=0, max_value=24),
+       _tokens, st.one_of(st.none(), st.integers(min_value=1,
+                                                 max_value=60)),
+       st.integers(min_value=0, max_value=5))
+def test_fuzz_traced_validation_matches_reference(inits, pre_ops,
+                                                  loop_ops, n_loop,
+                                                  tokens, chunks, salt):
+    """The compiled tier's access watch against its oracle, the
+    reference tier's call on every access: the same illegal accesses
+    in the same order, mm trace, init bitmaps, quarantine and clock."""
+    program = build_random_program(inits, pre_ops, loop_ops, n_loop)
+    run_differential(program, tokens=tokens, chunks=chunks, salt=salt)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +484,118 @@ def test_fault_freeze_is_identical_mid_loop():
                                   "HeapCorruptionFault")
     run_differential(program, trace=True)
     run_differential(program, chunks=5)
+
+
+# ---------------------------------------------------------------------------
+# access-tracing outcomes through each memory op
+# ---------------------------------------------------------------------------
+
+
+class QueuePolicy(ChangePolicy):
+    """Allocation decisions in program order; every free is delayed."""
+
+    def __init__(self, allocs):
+        self.allocs = list(allocs)
+
+    def on_alloc(self, callsite):
+        return self.allocs.pop(0)
+
+    def on_free(self, callsite, user_addr):
+        return FreeDecision(delay=True, check_param=True, patch_id=6)
+
+
+#: outcome -> (object, offset, is_write, recorded kinds).  ``pad`` has
+#: both pads, ``zer`` an init bitmap, ``dq`` is delay-freed before the
+#: access and ``pl`` is plain; an offset of 2**30 leaves the heap.
+_OUTCOMES = {
+    "pad-write": ("pad", 64, True, ["overflow-write"]),
+    "pad-read": ("pad", -8, False, []),
+    "quarantined-read": ("dq", 8, False, ["dangling-read"]),
+    "quarantined-write": ("dq", 8, True, ["dangling-write"]),
+    "uninit-read": ("zer", 8, False, ["uninit-read"]),
+    "init-write": ("zer", 8, True, []),
+    "plain-read": ("pl", 8, False, []),
+    "plain-write": ("pl", 8, True, []),
+    "fault-read": ("pl", 2 ** 30, False, []),
+    "fault-write": ("pl", 2 ** 30, True, []),
+}
+_OPS = {False: ("load", "memcpy"), True: ("store", "memset", "memcpy")}
+
+
+def outcome_program(target, offset, write, op):
+    """Four 64-byte objects, a delayed free of ``dq``, then one access
+    by ``op`` at ``target + offset`` (a MEMCPY's other side is
+    ``pl``)."""
+    pb = ProgramBuilder()
+    fb = pb.function("main")
+    fb.const("sz", 64)
+    fb.const("v", 0x41)
+    fb.const("ln", 8)
+    for name in ("pad", "zer", "dq", "pl"):
+        fb.malloc(name, "sz")
+    fb.free("dq")
+    fb.addi("a", target, offset)
+    if op == "load":
+        fb.load("x", "a", 0, 8)
+    elif op == "store":
+        fb.store("a", "v", 0, 8)
+    elif op == "memset":
+        fb.memset("a", "v", "ln")
+    elif write:
+        fb.memcpy("a", "pl", "ln")
+    else:
+        fb.memcpy("pl", "a", "ln")
+    fb.output("v")
+    fb.halt()
+    pb.add(fb)
+    return pb.build()
+
+
+@pytest.mark.parametrize("outcome,op", [
+    (outcome, op) for outcome, spec in _OUTCOMES.items()
+    for op in _OPS[spec[2]]])
+def test_traced_access_outcomes_match_reference(outcome, op):
+    """Each tracing outcome through LOAD, STORE, MEMSET and MEMCPY in
+    the traced-validation mode: both tiers observe the same, and the
+    compiled tier calls ``note_access`` only for the watched access
+    (the reference tier calls it for every one)."""
+    target, offset, write, kinds = _OUTCOMES[outcome]
+    program = outcome_program(target, offset, write, op)
+    runs = []
+    for tier in vmc.TIERS:
+        process = Process(
+            program, mode=ExtensionMode.VALIDATION, vm_tier=tier,
+            policy=QueuePolicy([
+                AllocDecision(pad_pre=PAD_PRE, pad_post=PAD_POST,
+                              canary_pad=True, patch_id=1),
+                AllocDecision(fill="zero", patch_id=2),
+                AllocDecision(), AllocDecision()]))
+        process.extension.trace_mm = True
+        process.trace_accesses()
+        ext = process.extension
+        calls = []
+        note = ext.note_access
+
+        def counting(*args, note=note, calls=calls):
+            calls.append(args)
+            note(*args)
+
+        ext.note_access = counting
+        process.run()
+        zer, = [o for o in ext.live_objects() if o.written is not None]
+        runs.append((observe(process.machine), len(calls),
+                     bytes(zer.written[8:16])))
+    (ref, ref_calls, ref_init), (cmp_, cmp_calls, _) = runs
+    assert cmp_ == ref
+    assert [x.kind for x in ref["illegal_accesses"]] == kinds
+    assert ref_calls == (2 if op == "memcpy" else 1)
+    assert cmp_calls == (0 if target == "pl" else 1)
+    if outcome.startswith("fault"):
+        assert ref["fault"][0] == "SegmentationFault"
+    else:
+        assert ref["halted"]
+    assert ref_init == (b"\x01" * 8 if outcome == "init-write"
+                        else bytes(8))
 
 
 # ---------------------------------------------------------------------------
