@@ -1,14 +1,16 @@
-"""Search-policy benchmark: the phase-1a determinism skip
-(DESIGN.md §13).
+"""Search-policy benchmark: the phase-1a determinism skip and the
+trace-guided call-site search (DESIGN.md §13).
 
 The diagnostic engine's probe schedule has two policies
 (``FirstAidConfig.search_policy``):
 
-* ``fixed``   -- the seed's static schedule (baseline),
-* ``bandit``  -- the same schedule, minus the phase-1a plain probe
-  when no RAND is reachable.  The name is historical: both policies
-  speculate alike on spare workers (the checkpoint walk as one batch,
-  the call-site bisection as its breadth-first frontier).
+* ``fixed``   -- the paper's schedule (baseline),
+* ``bandit``  -- the same schedule when RAND is reachable; otherwise
+  minus the phase-1a plain probe, and for a dangling read phase 2b
+  traces its universe probe and confirms the sites the trace saw
+  instead of bisecting for them.  The name is historical.  Both
+  policies speculate alike on spare workers (the checkpoint walk as
+  one batch, the call-site bisection as its breadth-first frontier).
 
 Three claims, measured over the seven real-bug applications:
 
@@ -21,9 +23,12 @@ Three claims, measured over the seven real-bug applications:
    path: every one is a rollback + re-execution) drop strictly on all
    seven apps under ``bandit``; probes *executed* (including
    speculation) at 2 workers drop strictly under ``bandit`` vs. the
-   fixed schedule.  Both drops come from the skip alone: at 2 workers
-   ``bandit`` executes the fixed schedule's probes minus the skipped
-   one.
+   fixed schedule.  On the five apps without a read-type bug the
+   drops are the skip alone (at 2 workers ``bandit`` executes the
+   fixed schedule's probes minus the skipped one); on apache and m4,
+   whose dangling reads take the guided search, ``bandit`` at one
+   worker consumes strictly fewer probes than ``fixed`` minus the
+   skipped one.
 3. **Recovery time** -- the simulated recovery clock (Table 3)
    improves on at least five of the seven apps under ``bandit``
    (observed: all seven).
@@ -52,6 +57,10 @@ from repro.bench.harness import host_info, run_app_session
 RECOVERY_IMPROVE_GATE = 5
 
 QUICK_APPS = ("bc", "m4", "squid")
+
+#: Apps whose dangling read takes the guided phase 2b: there
+#: ``bandit@1`` must save more than the skipped probe.
+GUIDED_APPS = ("apache", "m4")
 
 #: (label, search_policy, workers) -- serial runs measure consumed
 #: probes (rollback + re-execution each); the 2-worker runs measure
@@ -92,6 +101,7 @@ def gate_report(results: dict) -> dict:
     executed_win = {}
     recovery_delta_ms = {}
     backend_equal = {}
+    guided_win = {}
     for name, per in results.items():
         keys = {d.diagnosis_key() for d in per.values()}
         identical[name] = len(keys) == 1
@@ -104,6 +114,11 @@ def gate_report(results: dict) -> dict:
             - sum(per["bandit@1"].recovery_time_ns)) / 1e6
         backend_equal[name] = (per["bandit@1"].equivalence_key()
                                == per["bandit@2"].equivalence_key())
+        if name in GUIDED_APPS:
+            bandit = per["bandit@1"]
+            guided_win[name] = (sum(bandit.probes_consumed)
+                                < sum(per["fixed@1"].probes_consumed)
+                                - sum(bandit.probes_pruned))
     improved = sum(1 for d in recovery_delta_ms.values() if d > 0)
     n = len(results)
     gate = max(0, RECOVERY_IMPROVE_GATE - (7 - n))
@@ -115,10 +130,12 @@ def gate_report(results: dict) -> dict:
         "recovery_improved_apps": improved,
         "recovery_improve_gate": gate,
         "bandit_backend_equal": backend_equal,
+        "guided_fewer_than_skip_alone": guided_win,
         "gate_passed": (all(identical.values())
                         and all(consumed_win.values())
                         and all(executed_win.values())
                         and all(backend_equal.values())
+                        and all(guided_win.values())
                         and improved >= gate),
     }
 
@@ -143,6 +160,8 @@ def test_strictly_fewer_reexecutions(once):
         report["consumed_strictly_fewer"]
     assert all(report["executed_strictly_fewer_at_2w"].values()), \
         report["executed_strictly_fewer_at_2w"]
+    assert all(report["guided_fewer_than_skip_alone"].values()), \
+        report["guided_fewer_than_skip_alone"]
 
 
 def test_recovery_time_improves(once):

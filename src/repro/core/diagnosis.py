@@ -14,7 +14,10 @@ contrasts with Rx).  Directly-manifesting types (overflow, dangling
 write, double free) yield their call-sites from the evidence itself;
 read-type bugs (dangling read, uninitialized read) are located by
 binary search over call-sites with preventive changes on the
-complement -- O(M log N) re-executions for M bug sites among N.
+complement -- O(M log N) re-executions for M bug sites among N.  Under
+the non-paper ``"bandit"`` policy a deterministic program's dangling
+read first tries the sites its traced universe probe saw, confirmed
+with one probe each (DESIGN.md §13).
 
 The "failure region" criterion follows Section 4.1: a re-execution
 passes if it survives to ``failure_instr + window_intervals x
@@ -59,13 +62,14 @@ from repro.core.changes import (
 )
 from repro.core.heap_marking import HeapMarking, MarkCorruption
 from repro.core.patches import PatchPool, RuntimePatch
-from repro.heap.extension import ExtensionMode, Manifestations
+from repro.heap.extension import (ExtensionMode, IllegalAccess,
+                                  Manifestations)
 from repro.monitors.base import FailureEvent
 from repro.obs.telemetry import Telemetry
 from repro.parallel.tasks import (PASS_REASONS, WINDOW_INTERVALS,
                                   ReexecTask, encode_state)
 from repro.process import Process
-from repro.search.state import check_policy, may_skip_plain_probe
+from repro.search.state import check_policy, relies_on_determinism
 from repro.util.callsite import CallSite
 from repro.util.events import EventLog
 from repro.vm.machine import RunResult
@@ -105,7 +109,9 @@ class Diagnosis:
     #: search-policy accounting for this diagnosis (DESIGN.md §13):
     #: policy name, probes executed (incl. discarded speculation),
     #: probes consumed (the serial decision path) and probes skipped
-    #: by the phase-1a determinism rule.
+    #: by the phase-1a determinism rule; after a trace-guided phase
+    #: 2b also ``guided`` ("accepted" or "fallback") and
+    #: ``traced_sites``, the number of free sites the trace saw.
     search_info: Optional[Dict] = None
 
 
@@ -118,6 +124,8 @@ class _Outcome:
     manifestations: Manifestations
     mark_corruptions: List[MarkCorruption]
     policy: DiagnosticPolicy
+    #: what the probe recorded (empty unless traced)
+    illegal_accesses: List[IllegalAccess]
 
 
 @dataclass
@@ -130,6 +138,7 @@ class _ProbeReq:
     policy: DiagnosticPolicy
     salt_offset: int
     mark: bool = False
+    trace: bool = False            # record illegal accesses
 
 
 class _LiveBatch:
@@ -145,7 +154,8 @@ class _LiveBatch:
     def consume(self, index: int) -> "_Outcome":
         req = self._reqs[index]
         return self._engine._reexecute(req.checkpoint, req.policy,
-                                       self._window_end, mark=req.mark)
+                                       self._window_end, mark=req.mark,
+                                       trace=req.trace)
 
     def finish(self) -> None:
         pass
@@ -240,7 +250,8 @@ class _TaskBatch:
             double_frees=len(out.manifestations.double_free_events),
             mark_corruptions=len(out.mark_corruptions))
         return _Outcome(out.result, out.passed, out.manifestations,
-                        out.mark_corruptions, out.policy)
+                        out.mark_corruptions, out.policy,
+                        out.illegal_accesses)
 
     def finish(self) -> None:
         self._engine.executor.note_discarded(
@@ -296,7 +307,8 @@ class DiagnosticEngine:
         #: probe, never per instruction.
         self.chaos = chaos
         #: Search policy (repro.search): "bandit" adds the phase-1a
-        #: determinism skip to the one probe schedule.
+        #: determinism skip and the trace-guided phase-2b site search
+        #: for dangling reads to the paper's probe schedule.
         self.search_policy = check_policy(search_policy)
         #: Disable the phase-1a "plain replay must reproduce" prune.
         #: The fallback after a rejected sampled fast path sets this:
@@ -309,6 +321,8 @@ class DiagnosticEngine:
         self._probes_executed = 0
         self._probes_consumed = 0
         self._probes_pruned = 0
+        #: search_info entries of a trace-guided phase 2b
+        self._guided: Dict = {}
         self._entropy_salt = 1000
         #: encoded snapshots per checkpoint index -- probes from the
         #: same checkpoint reuse the materialization.
@@ -322,6 +336,7 @@ class DiagnosticEngine:
         self._probes_executed = 0
         self._probes_consumed = 0
         self._probes_pruned = 0
+        self._guided = {}
         self._m_policy.set(_POLICY_CODES[self.search_policy])
         with self.telemetry.span("diagnosis") as span:
             diag = self._diagnose(failure)
@@ -330,6 +345,7 @@ class DiagnosticEngine:
                 "probes_executed": self._probes_executed,
                 "probes_consumed": self._probes_consumed,
                 "probes_pruned": self._probes_pruned,
+                **self._guided,
             }
             span.set(verdict=diag.verdict.value,
                      rollbacks=diag.rollbacks,
@@ -412,9 +428,11 @@ class DiagnosticEngine:
         # policy over the same journal, so for a deterministic program
         # (no reachable RAND: probe outcomes are pure functions of
         # checkpoint and policy) this probe must reproduce the failure
-        # -- skip it.
-        if may_skip_plain_probe(self.search_policy, self.process.program) \
-                and len(self.pool) == 0 and not self.force_plain_probe:
+        # -- skip it.  Phase 2b reuses the answer.
+        deterministic = relies_on_determinism(self.search_policy,
+                                              self.process.program)
+        if deterministic and len(self.pool) == 0 \
+                and not self.force_plain_probe:
             self._note_pruned(
                 diag, "1a", "deterministic program with empty patch "
                 "pool: plain re-execution must reproduce the failure")
@@ -496,14 +514,22 @@ class DiagnosticEngine:
             return diag
         diag.bug_types = identified
 
-        # Phase 2b: call-sites for read-type bugs via binary search.
+        # Phase 2b: call-sites for read-type bugs via binary search --
+        # for a deterministic program's dangling read, first by
+        # confirming the free sites its traced universe probe saw.
         for bug_type in identified:
             evidence = diag.evidence[bug_type]
             if bug_type.identified_directly:
                 continue
-            universe = self._universe_for(bug_type, chosen, window_end)
-            sites = self._binary_search_sites(
-                chosen, bug_type, universe, window_end, identified)
+            guided = deterministic and bug_type is BugType.DANGLING_READ
+            universe, traced = self._universe_for(bug_type, chosen,
+                                                  window_end, trace=guided)
+            sites = (self._guided_sites(chosen, bug_type, universe, traced,
+                                        window_end, identified)
+                     if guided else None)
+            if sites is None:
+                sites = self._binary_search_sites(
+                    chosen, bug_type, universe, window_end, identified)
             evidence.sites = sites
             evidence.details.append(
                 f"binary search over {len(universe)} call-sites")
@@ -550,7 +576,8 @@ class DiagnosticEngine:
     # ------------------------------------------------------------------
 
     def _reexecute(self, checkpoint: Checkpoint, policy: DiagnosticPolicy,
-                   window_end: int, mark: bool = False) -> _Outcome:
+                   window_end: int, mark: bool = False,
+                   trace: bool = False) -> _Outcome:
         process = self.process
         if self.chaos is not None:
             from repro.chaos.faults import ChaosError
@@ -590,11 +617,15 @@ class DiagnosticEngine:
             saved_costs = process.costs
             process.set_costs(saved_costs.replay_model())
             process.set_mode(ExtensionMode.DIAGNOSTIC, policy)
+            if trace:
+                process.trace_accesses()
             try:
                 with self.telemetry.span("reexec"):
                     result = process.run(stop_at=window_end)
             finally:
                 process.set_costs(saved_costs)
+                if trace:
+                    process.trace_accesses(False)
             manifestations = process.extension.scan_manifestations()
             mark_corruptions = marking.scan() if marking else []
             passed = result.reason in PASS_REASONS
@@ -608,7 +639,7 @@ class DiagnosticEngine:
             double_frees=len(manifestations.double_free_events),
             mark_corruptions=len(mark_corruptions))
         return _Outcome(result, passed, manifestations, mark_corruptions,
-                        policy)
+                        policy, list(process.extension.illegal_accesses))
 
     # ------------------------------------------------------------------
     # batch plumbing (parallel mode)
@@ -623,11 +654,11 @@ class DiagnosticEngine:
 
     def _probe_one(self, checkpoint: Checkpoint,
                    policy: DiagnosticPolicy, window_end: int,
-                   mark: bool = False) -> _Outcome:
+                   mark: bool = False, trace: bool = False) -> _Outcome:
         """A single probe through the batch protocol (a batch of one),
         so serial and parallel modes share one code path."""
-        batch = self._dispatch([_ProbeReq(checkpoint, policy, 1, mark)],
-                               window_end)
+        batch = self._dispatch(
+            [_ProbeReq(checkpoint, policy, 1, mark, trace)], window_end)
         try:
             return batch.consume(0)
         finally:
@@ -658,7 +689,8 @@ class DiagnosticEngine:
         return ReexecTask.from_process(
             process, enc, window_end, kind="probe",
             label=f"probe:cp{checkpoint.index}:salt{salt}",
-            salt=salt, policy=req.policy, mark=req.mark)
+            salt=salt, policy=req.policy, mark=req.mark,
+            trace_accesses=req.trace)
 
     # ------------------------------------------------------------------
     # policies for phase 2
@@ -736,14 +768,74 @@ class DiagnosticEngine:
     # ------------------------------------------------------------------
 
     def _universe_for(self, bug_type: BugType, checkpoint: Checkpoint,
-                      window_end: int) -> List[CallSite]:
+                      window_end: int, trace: bool = False) \
+            -> Tuple[List[CallSite], _Outcome]:
         """All candidate call-sites after the checkpoint: observed by a
-        fresh all-preventive run (which always passes)."""
+        fresh all-preventive run (which always passes), and that run."""
         outcome = self._probe_one(checkpoint, _all_preventive(),
-                                  window_end)
+                                  window_end, trace=trace)
         if bug_type is BugType.UNINIT_READ:
-            return list(outcome.policy.seen_alloc_sites)
-        return list(outcome.policy.seen_free_sites)
+            return list(outcome.policy.seen_alloc_sites), outcome
+        return list(outcome.policy.seen_free_sites), outcome
+
+    def _guided_sites(self, checkpoint: Checkpoint, bug_type: BugType,
+                      universe: List[CallSite], traced: _Outcome,
+                      window_end: int, all_types: Sequence[BugType]) \
+            -> Optional[List[CallSite]]:
+        """The trace-guided site search (DESIGN.md §13).  T, the free
+        sites of the dangling reads the traced universe probe recorded,
+        in universe order, is accepted when exposing the universe minus
+        T passes and exposing each site of T alone fails.  When
+        failures are monotone in the exposed set, that is exactly what
+        the bisection would identify, in its order.  Both checks run as
+        one batch, consumed up to the first deviation.  None means fall
+        back to the bisection."""
+        seen = {access.site for access in traced.illegal_accesses
+                if access.kind == "dangling-read"}
+        sites = [site for site in universe if site in seen]
+        deviation: Dict = {}
+        if not traced.passed:
+            deviation = {"reason": "universe probe failed"}
+        elif not sites:
+            deviation = {"reason": "no dangling read traced"}
+        else:
+            # (exposed sites, must pass?).  Exposing nothing is the
+            # universe probe's own policy, which has already passed.
+            rest = [site for site in universe if site not in seen]
+            checks = ([(rest, True)] if rest else []) \
+                + [([site], False) for site in sites]
+            batch = self._dispatch(
+                [_ProbeReq(checkpoint,
+                           self._search_policy(bug_type, exposed,
+                                               all_types), i + 1)
+                 for i, (exposed, _) in enumerate(checks)],
+                window_end)
+            try:
+                for i, (exposed, must_pass) in enumerate(checks):
+                    if self._rollbacks >= self.max_rollbacks:
+                        deviation = {"reason": "rollback limit"}
+                        break
+                    if batch.consume(i).passed != must_pass:
+                        deviation = (
+                            {"reason": "complement failed"} if must_pass
+                            else {"reason": "singleton passed",
+                                  "site": repr(exposed[0])})
+                        break
+            finally:
+                batch.finish()
+        outcome = "fallback" if deviation else "accepted"
+        self._guided = {"guided": outcome, "traced_sites": len(sites)}
+        self.events.emit(
+            self.process.clock.now_ns, "diagnosis.guided",
+            bug_type=bug_type.value, outcome=outcome,
+            traced_sites=[repr(site) for site in sites], **deviation)
+        if deviation:
+            return None
+        for site in sites:
+            self.events.emit(
+                self.process.clock.now_ns, "diagnosis.site_identified",
+                bug_type=bug_type.value, site=repr(site))
+        return sites
 
     def _search_policy(self, bug_type: BugType,
                        exposed: Iterable[CallSite],

@@ -136,12 +136,14 @@ class FirstAidConfig:
     #: against.
     vm_tier: str = "compiled"
     #: Diagnosis search policy (repro.search, DESIGN.md §13).
-    #: "fixed" is the legacy schedule; "bandit" runs the same schedule
-    #: and skips the phase-1a plain probe for a program with no
-    #: reachable RAND (one probe fewer, consumed and executed).  The
-    #: produced Diagnosis is byte-identical under both.  The name
-    #: "bandit" is historical: both policies speculate alike at
-    #: workers > 1.
+    #: "fixed" is the paper's schedule, and Table 3 runs it.
+    #: "bandit" departs from it only for a program with no reachable
+    #: RAND: it skips the phase-1a plain probe, and for a dangling
+    #: read it traces phase 2b's universe probe and confirms the free
+    #: sites of the dangling reads it recorded instead of bisecting
+    #: for them (falling back to the bisection when a confirmation
+    #: deviates).  The produced Diagnosis is byte-identical under
+    #: both.  The name "bandit" is historical.
     search_policy: str = "fixed"
     #: Health-gated staged rollout (repro.rollout, DESIGN.md §14).
     #: Off (default): every store patch is adopted by everyone -- the

@@ -833,8 +833,9 @@ class AllocatorExtension:
         free keep it current, restore rebuilds it, and snapshots leave
         it out.  Its deferred charge is exact only when this extension
         charges the machine's clock (:meth:`Process.trace_accesses
-        <repro.process.Process.trace_accesses>`), and a flight recorder
-        attached to it would stamp a hit before the deferred charges.
+        <repro.process.Process.trace_accesses>`).  The compiled tier
+        reaches a hit before the deferred charges land, so while the
+        watch is kept no hit reaches a flight recorder.
         """
         self.watch = set()
         for obj in self._objects.values():
@@ -868,7 +869,7 @@ class AllocatorExtension:
 
     def _record_illegal(self, access: IllegalAccess) -> None:
         self.illegal_accesses.append(access)
-        if self._flight is not None:
+        if self._flight is not None and self.watch is None:
             self._flight.record_access(
                 self.clock.now_ns if self.clock else 0, access.kind,
                 f"{access.instr_id[0]}:{access.instr_id[1]}",

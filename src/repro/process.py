@@ -117,15 +117,22 @@ class Process:
             self.machine.attach_metrics(telemetry.metrics)
             self.extension.attach_telemetry(telemetry)
 
-    def trace_accesses(self) -> None:
+    def trace_accesses(self, on: bool = True) -> None:
         """Trace every heap access from now on (the Pin analogue of
-        validation, paper Section 5): the machine reports each access
-        to the extension, and the extension builds its watch, so the
-        compiled tier calls ``note_access`` only where it can record.
-        The watch's deferred ``trace_ns`` lands on the machine's
-        clock, which is the extension's here."""
-        self.machine.trace_accesses = True
-        self.extension.build_watch()
+        validation, paper Section 5), or stop with ``on=False``.  While
+        on, the machine reports each access to the extension, and the
+        extension keeps its watch, so the compiled tier calls
+        ``note_access`` only where it can record.  The watch's
+        deferred ``trace_ns`` lands on the machine's clock, which is
+        the extension's here.  Two callers turn it on: ``run_task``,
+        for validation tasks and traced probes, and the diagnostic
+        engine, for a traced probe on the live process, which it turns
+        off again after the run."""
+        self.machine.trace_accesses = on
+        if on:
+            self.extension.build_watch()
+        else:
+            self.extension.watch = None
 
     def reseed_entropy(self, seed: int) -> None:
         """Fresh entropy for RAND -- each execution *attempt* gets its

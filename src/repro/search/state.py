@@ -2,7 +2,11 @@
 
 :func:`analyze_program` is the one static rule the diagnostic engine
 applies (DESIGN.md §13): the scan is a few tens of microseconds, so it
-runs per diagnosis rather than being memoised.
+runs per diagnosis rather than being memoised.  The engine asks
+:func:`relies_on_determinism` once per diagnosis and acts on the
+answer twice: phase 1a skips its plain probe, and phase 2b confirms
+the dangling-read sites a traced universe probe saw instead of
+bisecting for them.
 """
 
 from __future__ import annotations
@@ -11,9 +15,10 @@ from repro.errors import ReproError
 from repro.vm import isa
 from repro.vm.program import Program
 
-#: ``fixed``  -- the seed schedule (baseline / ablation).
+#: ``fixed``  -- the paper's schedule (baseline; Table 3 runs it).
 #: ``bandit`` -- the same schedule plus the phase-1a determinism skip
-#: (a historical name, DESIGN.md §13).
+#: and the trace-guided phase-2b site search for dangling reads (a
+#: historical name, DESIGN.md §13).
 SEARCH_POLICIES = ("fixed", "bandit")
 
 
@@ -46,8 +51,13 @@ def analyze_program(program: Program) -> bool:
     return True
 
 
-def may_skip_plain_probe(policy: str, program: Program) -> bool:
-    """May phase 1a's plain re-execution be skipped for ``program``?
-    Never under ``fixed``, which does not even run the scan; under
-    ``bandit`` when the program is deterministic."""
+def relies_on_determinism(policy: str, program: Program) -> bool:
+    """May the engine treat ``program``'s re-executions as pure
+    functions of (checkpoint, policy)?  Never under ``fixed``, which
+    does not even run the scan; under ``bandit`` when the program is
+    deterministic.  Two rules follow: with an empty patch pool phase
+    1a's plain re-execution must reproduce the failure and is skipped,
+    and phase 2b may confirm a traced universe probe's dangling-read
+    sites, since the guided search hands the probes other entropy salts
+    than the bisection would."""
     return policy == "bandit" and analyze_program(program)

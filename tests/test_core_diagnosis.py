@@ -128,6 +128,90 @@ def test_dangling_read_diagnosed_with_binary_search():
     assert diagnosis.rollbacks >= 6
 
 
+#: DANGLING_READ_APP plus a benign stale read: ``drop``'s object is
+#: read after its free but only echoed, so a traced probe records a
+#: dangling read at ``drop`` whose exposure alone passes.
+BENIGN_READ_APP = """
+int stash = 0;
+int anchor = 0;
+int release(int p) { free(p); return 0; }
+int drop(int p) { free(p); return 0; }
+int main() {
+    anchor = malloc(64);
+    store(anchor, 1);
+    while (1) {
+        int op = input();
+        if (op == 0) { halt(); }
+        if (op == 1) {
+            int obj = malloc(40);
+            store(obj, anchor);
+            stash = obj;
+        }
+        if (op == 2) {
+            release(stash);          // stash left dangling
+        }
+        if (op == 3) {
+            int reuse = malloc(40);  // takes the freed chunk
+            store(reuse, 7);
+        }
+        if (op == 4) {
+            int p = load(stash);     // stale read
+            store(p, load(p) + 1);
+        }
+        if (op == 5) {
+            int tmp = malloc(24);
+            store(tmp, 5);
+            drop(tmp);
+            output(load(tmp));       // benign stale read: only echoed
+        }
+        output(1);
+    }
+}
+"""
+
+#: Two stale reads that fail only together: exposing either free site
+#: alone passes, so the failure is not monotone in single sites.
+PAIRED_READ_APP = """
+int left = 0;
+int right = 0;
+int anchor = 0;
+int release_left(int p) { free(p); return 0; }
+int release_right(int p) { free(p); return 0; }
+int main() {
+    anchor = malloc(64);
+    store(anchor, 1);
+    while (1) {
+        int op = input();
+        if (op == 0) { halt(); }
+        if (op == 1) {
+            left = malloc(40);
+            store(left, anchor);
+            right = malloc(40);
+            store(right, anchor);
+        }
+        if (op == 2) {
+            release_left(left);      // both left dangling
+            release_right(right);
+        }
+        if (op == 3) {
+            int a = malloc(40);      // take both freed chunks
+            store(a, 7);
+            int b = malloc(40);
+            store(b, 7);
+        }
+        if (op == 4) {
+            int x = load(left);      // two stale reads
+            int y = load(right);
+            if (x != anchor) {
+                if (y != anchor) { store(0, 1); }
+            }
+        }
+        output(1);
+    }
+}
+"""
+
+
 DANGLING_WRITE_APP = """
 int stale = 0;
 int routev = 0;

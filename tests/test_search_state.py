@@ -12,7 +12,7 @@ import pytest
 from repro.apps.registry import all_apps
 from repro.core.runtime import FirstAidConfig, FirstAidRuntime
 from repro.errors import ReproError
-from repro.search import analyze_program, may_skip_plain_probe, state
+from repro.search import analyze_program, relies_on_determinism, state
 from repro.vm.builder import ProgramBuilder
 
 
@@ -63,7 +63,7 @@ def test_fixed_policy_never_runs_the_analysis(monkeypatch):
     calls = []
     monkeypatch.setattr(state, "analyze_program",
                         lambda program: calls.append(program) or True)
-    assert not may_skip_plain_probe("fixed", build(halt_only))
+    assert not relies_on_determinism("fixed", build(halt_only))
     assert calls == []
 
 
@@ -85,8 +85,8 @@ def test_bandit_policy_prunes_and_speculates():
         fb.rand("r")
         fb.halt()
 
-    assert may_skip_plain_probe("bandit", build(halt_only))
-    assert not may_skip_plain_probe("bandit", build(main))
+    assert relies_on_determinism("bandit", build(halt_only))
+    assert not relies_on_determinism("bandit", build(main))
 
 
 # ---------------------------------------------------------------------
