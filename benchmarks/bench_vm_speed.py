@@ -1,8 +1,10 @@
 """Template-JIT VM speed: kernel throughput and end-to-end recovery.
 
-The compiled tier (``FirstAidConfig.vm_tier="compiled"``,
-:mod:`repro.vm.compile`) exists to make the thousands of re-executions
-a recovery performs cheap.  Three claims, measured here:
+The compiled tier (:mod:`repro.vm.compile`, the machine's one tier)
+exists to make the thousands of re-executions a recovery performs
+cheap.  Its reference side is the switch interpreter it replaced, kept
+as the oracle in ``tests/reference_machine.py`` and installed for a
+``with`` block by ``reference_tier()``.  Three claims, measured here:
 
 1. **Kernel throughput** -- block-compiled dispatch with
    superinstruction fusion executes straight-line bytecode kernels at
@@ -18,7 +20,7 @@ a recovery performs cheap.  Three claims, measured here:
    recovery/validation sim time): the compiled tier changes how fast
    the host executes, never what the simulation observes.  Validation
    runs trace accesses, so this also proves the compiled tier's access
-   watch against the reference tier's ``note_access`` on every access.
+   watch against the oracle's ``note_access`` on every access.
 
 Also reported: fusion statistics (constant folds, compare+branch
 fusions, threaded jumps, closed loops, promoted slots) and the
@@ -39,9 +41,11 @@ import os
 import sys
 import time
 
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if _ROOT not in sys.path:  # the oracle, tests/reference_machine.py
+    sys.path.insert(0, _ROOT)
 if __name__ == "__main__":  # script mode without PYTHONPATH=src
-    sys.path.insert(0, os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+    sys.path.insert(0, os.path.join(_ROOT, "src"))
 
 from repro.apps.registry import all_apps
 from repro.bench.harness import host_info, run_app_session
@@ -52,6 +56,7 @@ from repro.vm import compile as vmc
 from repro.vm.builder import ProgramBuilder
 from repro.vm.io import OutputLog, ReplayableInput
 from repro.vm.machine import Machine
+from tests.reference_machine import SIDES, reference_tier
 
 #: Warm-cache kernel speedup the full benchmark requires (ISSUE gate).
 KERNEL_GATE = 10.0
@@ -156,21 +161,21 @@ def call_kernel(iters: int):
     return pb.build()
 
 
-def _machine(program, tier):
+def _machine(program):
     mem = Memory()
     ext = AllocatorExtension(mem, LeaAllocator(mem),
                              ExtensionMode.DIAGNOSTIC)
-    return Machine(program, mem, ext, ReplayableInput(), OutputLog(),
-                   tier=tier)
+    return Machine(program, mem, ext, ReplayableInput(), OutputLog())
 
 
 def _timed_run(program, tier):
     """(instructions/second, wall seconds, final machine) for one
     complete run on a fresh Machine."""
-    m = _machine(program, tier)
-    t0 = time.perf_counter()
-    m.run()
-    wall = time.perf_counter() - t0
+    m = _machine(program)
+    with SIDES[tier]():
+        t0 = time.perf_counter()
+        m.run()
+        wall = time.perf_counter() - t0
     return m.instr_count / wall if wall else 0.0, wall, m
 
 
@@ -212,7 +217,7 @@ def cache_bench() -> dict:
     program compile once and bind N times."""
     vmc.clear_cache()
     program = tight_loop_kernel(1000)
-    machines = [_machine(program, "compiled") for _ in range(8)]
+    machines = [_machine(program) for _ in range(8)]
     for m in machines:
         m.run()
     unit = vmc.compiled_for(program)
@@ -241,8 +246,9 @@ def e2e_bench(names=None) -> dict:
     rec_ref_wall = rec_cmp_wall = 0.0
     identical = True
     for name in names:
-        ref = run_app_session(name, vm_tier="reference")
-        cmp_ = run_app_session(name, vm_tier="compiled")
+        with reference_tier():
+            ref = run_app_session(name)
+        cmp_ = run_app_session(name)
         behavior = ref.equivalence_key() == cmp_.equivalence_key()
         sim_time = (ref.clock_ns == cmp_.clock_ns
                     and ref.recovery_time_ns == cmp_.recovery_time_ns

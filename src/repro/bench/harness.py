@@ -295,9 +295,8 @@ def run_app_session(app_name: str, triggers: int = 2, seed: int = 42,
     *name*) so the call ships to a forked process as plain keyword
     arguments (:func:`run_sessions`).
 
-    Every config field takes :class:`FirstAidConfig`'s default, so the
-    VM tier is the compiled one production runs unless the caller
-    passes ``vm_tier="reference"``."""
+    Every config field takes :class:`FirstAidConfig`'s default unless
+    ``config`` names it."""
     app = get_app(app_name)
     if workload is None:
         workload = spaced_workload(app, triggers, seed)

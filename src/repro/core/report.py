@@ -28,8 +28,8 @@ class BugReport:
     validation: Optional[ValidationResult] = None
     diagnosis_log: Optional[EventLog] = None
     #: Bounded flight-recorder snapshot taken at failure time (last-N
-    #: events, allocations, illegal accesses) -- replaces attaching
-    #: unbounded traces to the report.
+    #: events and allocations) -- replaces attaching unbounded traces
+    #: to the report.
     flight: Optional[FlightRecording] = None
     notes: List[str] = field(default_factory=list)
 

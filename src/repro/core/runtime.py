@@ -126,14 +126,10 @@ class FirstAidConfig:
     #: worker past it is abandoned and the task rescued in-process.
     #: None waits forever (the pre-chaos behaviour).
     worker_timeout_s: Optional[float] = None
-    #: VM execution tier ("reference" or "compiled", see
-    #: repro.vm.compile).  The compiled template-JIT tier is observably
-    #: identical -- snapshots, sim time, fault sites, telemetry -- and
-    #: exists purely for wall-clock speed; every re-execution the
-    #: runtime performs (diagnosis probes, validation runs, forked
-    #: worker tasks) inherits the tier.  The reference interpreter
-    #: stays the oracle the differential fuzzer checks "compiled"
-    #: against.
+    #: VM execution tier.  Only "compiled" (repro.vm.compile, the
+    #: machine's one tier) is accepted: anything else raises
+    #: ValueError when the runtime builds its process.  The field
+    #: stays until the e2e benchmark stops pinning it (DESIGN.md §11).
     vm_tier: str = "compiled"
     #: Diagnosis search policy (repro.search, DESIGN.md §13).
     #: "fixed" is the paper's schedule, and Table 3 runs it.

@@ -5,9 +5,9 @@ layout must not stay installed (and must not mislead developers).  The
 validation engine re-executes the buggy region three times, each with a
 differently-seeded randomized allocator, with full memory-management
 and illegal-access tracing enabled (this repo's Pin analogue,
-:meth:`~repro.process.Process.trace_accesses`; the compiled VM tier
-pays for a traced access only where the allocator extension's watch
-says it can record), and checks that the patch's effect is
+:meth:`~repro.process.Process.trace_accesses`; the VM pays for a
+traced access only where the allocator extension's watch says it can
+record), and checks that the patch's effect is
 consistent:
 
 (a) the patch is triggered the same number of times in every run;

@@ -783,11 +783,10 @@ class AllocatorExtension:
         """Classify one access starting at ``addr`` against tracked
         objects and charge ``trace_ns``.
 
-        Called when the machine's ``trace_accesses`` is set: the
-        reference tier calls it on every LOAD, STORE, MEMSET and
-        MEMCPY; the compiled tier calls it only when ``addr``'s granule
-        is in :attr:`watch` (every access, when there is no watch) and
-        defers the other accesses' ``trace_ns`` to the batched
+        Called when the machine's ``trace_accesses`` is set: on a
+        LOAD, STORE, MEMSET or MEMCPY whose ``addr`` granule is in
+        :attr:`watch` (every access, when there is no watch); the
+        machine defers the other accesses' ``trace_ns`` to its batched
         sim-time.
         """
         self._charge(self.costs.trace_ns)
@@ -795,7 +794,7 @@ class AllocatorExtension:
         if obj is None:
             return
         if obj.state is ObjectState.QUARANTINED:
-            self._record_illegal(IllegalAccess(
+            self.illegal_accesses.append(IllegalAccess(
                 kind="dangling-write" if is_write else "dangling-read",
                 instr_id=instr_id, offset=addr - obj.user_addr,
                 is_write=is_write, site=obj.free_site,
@@ -804,7 +803,7 @@ class AllocatorExtension:
         if obj.state is not ObjectState.LIVE:
             return
         if is_write and (obj.in_pre_pad(addr) or obj.in_post_pad(addr)):
-            self._record_illegal(IllegalAccess(
+            self.illegal_accesses.append(IllegalAccess(
                 kind="overflow-write", instr_id=instr_id,
                 offset=addr - obj.user_addr, is_write=True,
                 site=obj.alloc_site, patch_id=obj.patch_id))
@@ -816,7 +815,7 @@ class AllocatorExtension:
                 for i in range(off, end):
                     obj.written[i] = 1
             elif not all(obj.written[off:end]):
-                self._record_illegal(IllegalAccess(
+                self.illegal_accesses.append(IllegalAccess(
                     kind="uninit-read", instr_id=instr_id, offset=off,
                     is_write=False, site=obj.alloc_site,
                     patch_id=obj.patch_id))
@@ -833,9 +832,7 @@ class AllocatorExtension:
         free keep it current, restore rebuilds it, and snapshots leave
         it out.  Its deferred charge is exact only when this extension
         charges the machine's clock (:meth:`Process.trace_accesses
-        <repro.process.Process.trace_accesses>`).  The compiled tier
-        reaches a hit before the deferred charges land, so while the
-        watch is kept no hit reaches a flight recorder.
+        <repro.process.Process.trace_accesses>`).
         """
         self.watch = set()
         for obj in self._objects.values():
@@ -866,14 +863,6 @@ class AllocatorExtension:
         for lo, hi in spans:
             if lo < hi:
                 op(range(lo >> 3, (hi + 7) >> 3))
-
-    def _record_illegal(self, access: IllegalAccess) -> None:
-        self.illegal_accesses.append(access)
-        if self._flight is not None and self.watch is None:
-            self._flight.record_access(
-                self.clock.now_ns if self.clock else 0, access.kind,
-                f"{access.instr_id[0]}:{access.instr_id[1]}",
-                access.offset, access.is_write)
 
     # ------------------------------------------------------------------
     # snapshot / restore

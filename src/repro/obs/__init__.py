@@ -17,8 +17,8 @@ across replays:
   so every recovery yields a parseable phase breakdown mirroring the
   paper's Table 5 decomposition.
 * :class:`~repro.obs.recorder.FlightRecorder` -- bounded ring buffers
-  over recent events and allocation/access records, dumped into bug
-  reports at failure time.
+  over recent events and allocation records, dumped into bug reports
+  at failure time.
 
 The :class:`~repro.obs.telemetry.Telemetry` facade bundles the three
 and is what components accept.  Telemetry is off-by-default-cheap: a

@@ -6,9 +6,8 @@ buffers and dumps them when something goes wrong (the black-box /
 flight-recorder pattern; GWP-ASan keeps exactly such bounded
 allocation-site rings).  This module provides that for First-Aid:
 
-* recent structured :class:`~repro.util.events.Event` records,
-* the last N allocation/deallocation records, and
-* the last N traced illegal accesses,
+* recent structured :class:`~repro.util.events.Event` records, and
+* the last N allocation/deallocation records,
 
 each in a ``deque(maxlen=...)``.  At failure time the runtime calls
 :meth:`FlightRecorder.snapshot` and attaches the frozen
@@ -27,7 +26,6 @@ from repro.util.events import Event
 #: Default ring capacities, sized so a dump stays readable.
 DEFAULT_EVENT_CAPACITY = 256
 DEFAULT_MM_CAPACITY = 256
-DEFAULT_ACCESS_CAPACITY = 128
 
 
 @dataclass(frozen=True)
@@ -52,22 +50,6 @@ class MMRecord:
                 f"{site}{patch}")
 
 
-@dataclass(frozen=True)
-class AccessRecord:
-    """One traced illegal access, bounded-history form."""
-
-    time_ns: int
-    kind: str
-    instr: str                  # "function:pc"
-    offset: int
-    is_write: bool
-
-    def render(self) -> str:
-        rw = "write" if self.is_write else "read"
-        return (f"[{self.time_ns / 1e9:10.6f}s] {self.kind} {rw} "
-                f"at {self.instr} offset {self.offset}")
-
-
 @dataclass
 class FlightRecording:
     """Frozen dump of the recorder's rings at one instant."""
@@ -75,7 +57,6 @@ class FlightRecording:
     time_ns: int
     events: List[Event] = field(default_factory=list)
     mm_records: List[MMRecord] = field(default_factory=list)
-    accesses: List[AccessRecord] = field(default_factory=list)
     events_dropped: int = 0
     mm_dropped: int = 0
 
@@ -90,9 +71,6 @@ class FlightRecording:
         out.append(f"  last {len(self.mm_records)} "
                    f"allocation record(s){dropped}:")
         out += [f"    {r.render()}" for r in self.mm_records[-limit:]]
-        if self.accesses:
-            out.append(f"  last {len(self.accesses)} illegal access(es):")
-            out += [f"    {a.render()}" for a in self.accesses[-limit:]]
         return "\n".join(out)
 
 
@@ -102,15 +80,12 @@ class FlightRecorder:
     def __init__(self,
                  event_capacity: int = DEFAULT_EVENT_CAPACITY,
                  mm_capacity: int = DEFAULT_MM_CAPACITY,
-                 access_capacity: int = DEFAULT_ACCESS_CAPACITY,
                  enabled: bool = True):
         self.enabled = enabled
         self.event_capacity = event_capacity
         self.mm_capacity = mm_capacity
-        self.access_capacity = access_capacity
         self._events: Deque[Event] = deque(maxlen=event_capacity)
         self._mm: Deque[MMRecord] = deque(maxlen=mm_capacity)
-        self._accesses: Deque[AccessRecord] = deque(maxlen=access_capacity)
         self.events_seen = 0
         self.mm_seen = 0
 
@@ -126,11 +101,6 @@ class FlightRecorder:
         self._mm.append(MMRecord(time_ns, op, user_addr, size, site,
                                  patch_id))
 
-    def record_access(self, time_ns: int, kind: str, instr: str,
-                      offset: int, is_write: bool) -> None:
-        self._accesses.append(AccessRecord(time_ns, kind, instr,
-                                           offset, is_write))
-
     # -- dumping -------------------------------------------------------
 
     def snapshot(self, time_ns: int) -> FlightRecording:
@@ -138,7 +108,6 @@ class FlightRecorder:
             time_ns=time_ns,
             events=list(self._events),
             mm_records=list(self._mm),
-            accesses=list(self._accesses),
             events_dropped=max(0, self.events_seen - len(self._events)),
             mm_dropped=max(0, self.mm_seen - len(self._mm)),
         )
@@ -146,6 +115,5 @@ class FlightRecorder:
     def clear(self) -> None:
         self._events.clear()
         self._mm.clear()
-        self._accesses.clear()
         self.events_seen = 0
         self.mm_seen = 0

@@ -121,10 +121,6 @@ class ReexecTask:
     #: the executor's task timeout).  In-process execution ignores it,
     #: so the timeout rescue produces the real outcome.
     hang_marker: bool = False
-    #: VM execution tier for the re-execution; travels with the task so
-    #: a forked worker runs the same tier (and hits the same
-    #: process-wide compiled-program cache) as the live process.
-    vm_tier: str = "reference"
 
     @classmethod
     def from_process(cls, process: Process, state: tuple,
@@ -132,8 +128,8 @@ class ReexecTask:
         """A re-execution of ``process`` from ``state`` (the
         :func:`encode_state` payload of one of its checkpoints) up to
         ``window_end``: the live process's journal, output history up
-        to the snapshot, replay-rate costs, limits and VM tier, plus
-        the task-specific ``fields``."""
+        to the snapshot, replay-rate costs and limits, plus the
+        task-specific ``fields``."""
         return cls(
             state=state,
             journal=process.input.journal_slice(0),
@@ -144,7 +140,6 @@ class ReexecTask:
             quarantine_threshold=process.extension
             .quarantine.threshold_bytes,
             patch_memory_limit=process.extension.patch_memory_limit,
-            vm_tier=process.machine.tier,
             **fields)
 
 
@@ -181,8 +176,7 @@ def run_task(program: Program, task: ReexecTask) -> TaskOutcome:
     state = decode_state(task.state, program)
     process = Process(program, mode=ExtensionMode.DIAGNOSTIC,
                       costs=task.costs, heap_limit=task.heap_limit,
-                      quarantine_threshold=task.quarantine_threshold,
-                      vm_tier=task.vm_tier)
+                      quarantine_threshold=task.quarantine_threshold)
     process.extension.patch_memory_limit = task.patch_memory_limit
     process.input.preload_journal(task.journal)
     process.output.preload(task.output_prefix)

@@ -20,7 +20,7 @@ from repro.heap.quarantine import DEFAULT_THRESHOLD
 from repro.heap.random_alloc import RandomizedLeaAllocator
 from repro.util.rng import DeterministicRNG
 from repro.util.simclock import CostModel, SimClock
-from repro.vm.compile import TIER_REFERENCE
+from repro.vm.compile import TIER_COMPILED
 from repro.vm.io import OutputLog, ReplayableInput
 from repro.vm.machine import Machine, RunResult
 from repro.vm.program import Program
@@ -49,7 +49,11 @@ class ProcessSnapshot:
 
 
 class Process:
-    """One simulated process under First-Aid's control."""
+    """One simulated process under First-Aid's control.
+
+    ``vm_tier`` accepts only ``"compiled"``, the machine's one tier,
+    and raises :class:`ValueError` for anything else: callers that
+    pinned a tier keep working, and a stale one fails loudly."""
 
     def __init__(self, program: Program,
                  input_tokens: Optional[Iterable[int]] = None,
@@ -62,7 +66,10 @@ class Process:
                  quarantine_threshold: int = DEFAULT_THRESHOLD,
                  entropy_seed: int = 1,
                  output: Optional[OutputLog] = None,
-                 vm_tier: str = TIER_REFERENCE):
+                 vm_tier: str = TIER_COMPILED):
+        if vm_tier != TIER_COMPILED:
+            raise ValueError(f"unknown vm tier {vm_tier!r} (the machine "
+                             f"runs only {TIER_COMPILED!r})")
         self.program = program
         self.costs = costs or CostModel()
         self.clock = clock or SimClock()
@@ -78,7 +85,7 @@ class Process:
         self.output = output if output is not None else OutputLog()
         self.machine = Machine(program, self.mem, self.extension,
                                self.input, self.output, self.clock,
-                               self.costs, entropy_seed, tier=vm_tier)
+                               self.costs, entropy_seed)
 
     # ------------------------------------------------------------------
     # convenience passthroughs
@@ -121,7 +128,7 @@ class Process:
         """Trace every heap access from now on (the Pin analogue of
         validation, paper Section 5), or stop with ``on=False``.  While
         on, the machine reports each access to the extension, and the
-        extension keeps its watch, so the compiled tier calls
+        extension keeps its watch, so the machine calls
         ``note_access`` only where it can record.  The watch's
         deferred ``trace_ns`` lands on the machine's clock, which is
         the extension's here.  Two callers turn it on: ``run_task``,

@@ -17,13 +17,7 @@ from repro.vm.isa import OPCODE_NAMES, Instr
 from repro.vm.program import Function, Program
 from repro.vm.builder import FunctionBuilder, ProgramBuilder
 from repro.vm.io import OutputLog, ReplayableInput
-from repro.vm.compile import (
-    TIER_COMPILED,
-    TIER_REFERENCE,
-    TIERS,
-    bind_program,
-    compiled_for,
-)
+from repro.vm.compile import TIER_COMPILED, bind_program, compiled_for
 from repro.vm.machine import Machine, RunReason, RunResult
 
 __all__ = [
@@ -39,8 +33,6 @@ __all__ = [
     "RunReason",
     "RunResult",
     "TIER_COMPILED",
-    "TIER_REFERENCE",
-    "TIERS",
     "bind_program",
     "compiled_for",
 ]

@@ -1,16 +1,17 @@
 """Template JIT: MiniC bytecode -> specialized Python closures.
 
-The reference interpreter (:meth:`Machine._run_reference`) pays a
-40-way ``elif`` dispatch plus operand-tuple indexing on every
-instruction.  Recovery multiplies that cost by thousands: each
-diagnosis probe, validation run, and chaos re-execution re-runs the
-*same* program, so interpretation dominates every phase's wall clock.
+A switch interpreter pays a 40-way ``elif`` dispatch plus
+operand-tuple indexing on every instruction.  Recovery multiplies that
+cost by thousands: each diagnosis probe, validation run, and chaos
+re-execution re-runs the *same* program, so interpretation would
+dominate every phase's wall clock.
 
-This module removes the dispatch entirely.  Each function's bytecode is
-split into extended basic blocks, and each block entry point is
-``exec``-compiled -- on demand, the first time execution reaches it --
-into one Python closure with every operand baked in as a constant
-(bounds checks, dirty-page marking and counters elided here)::
+This module removes the dispatch entirely; it is the machine's one
+tier.  Each function's bytecode is split into extended basic blocks,
+and each block entry point is ``exec``-compiled -- on demand, the
+first time execution reaches it -- into one Python closure with every
+operand baked in as a constant (bounds checks, dirty-page marking and
+counters elided here)::
 
     LOAD t, base, 8, 8          _o1 = s1 + 8 - mbase
     ADDI t, t, 1          ==>   s0 = _ld8(mbuf, _o1)[0]
@@ -19,26 +20,28 @@ into one Python closure with every operand baked in as a constant
                                 ...
 
 Equivalence is the hard constraint, not the speed: the compiled tier
-must preserve every observable of the reference interpreter --
-byte-identical :class:`~repro.vm.state.MachineSnapshot` contents,
-identical sim-time charging (batched ``pending_ns`` with flushes at
-MALLOC/FREE/OUT and run exits, inline MEMSET/MEMCPY fill costs), exact
-``instr_count`` so ``stop_at`` checkpoint boundaries land on the same
-instruction, identical fault ``instr_id`` and call-site capture, and
-identical access tracing: the same illegal accesses and init marks in
-the same order, and the same clock at every flush.  The reference tier
-calls ``note_access`` on every traced access; the compiled tier calls
-it only where the extension's watch says it can act, and adds the
-other accesses' ``trace_ns`` to the batched sim-time.  The contract on
-frame state is
-that every architectural write is in ``frame.locals`` at every exit
-from the closure: a value lives in its slot's Python local and a
-literal may be deferred, but every path that leaves the closure
+must preserve every observable of the switch interpreter, kept as the
+oracle in ``tests/reference_machine.py`` -- byte-identical
+:class:`~repro.vm.state.MachineSnapshot` contents, identical sim-time
+charging (batched ``pending_ns`` with flushes at MALLOC/FREE/OUT and
+run exits, inline MEMSET/MEMCPY fill costs), exact ``instr_count`` so
+``stop_at`` checkpoint boundaries land on the same instruction,
+identical fault ``instr_id`` and call-site capture, and identical
+access tracing: the same illegal accesses and init marks in the same
+order, and the same clock at every flush.  The oracle calls
+``note_access`` on every traced access; the compiled tier calls it
+only where the extension's watch says it can act, and adds the other
+accesses' ``trace_ns`` to the batched sim-time.  The contract on frame
+state is that every architectural write is in ``frame.locals`` at
+every exit from the closure: a value lives in its slot's Python local
+and a literal may be deferred, but every path that leaves the closure
 (successor, loop exit, input exhaustion, budget stop, fault freeze)
 stores it first.  Nothing reads ``frame.locals`` while a block runs --
-only snapshots and the two run loops do, between blocks.  A
-``stop_at`` that lands strictly inside a block falls back to the
-reference interpreter for the remainder, which steps and stops with
+only snapshots and the run loop do, between blocks.  A ``stop_at``
+that lands strictly inside a block makes it return ``STEP`` before it
+executes anything (a closed loop, at the top of an iteration); the run
+loop then steps the remainder, the budget tail, with one-instruction
+closures (``compile_block(pc, cap=1)``), which stop with
 per-instruction precision.
 
 Superinstruction fusion, applied during emission:
@@ -97,17 +100,16 @@ from repro.heap.extension import ExtensionMode
 from repro.vm import isa
 from repro.vm.state import Frame
 
-#: Machine.run tier names (FirstAidConfig.vm_tier takes these values).
-TIER_REFERENCE = "reference"
+#: The machine's one tier; Process and FirstAidConfig.vm_tier accept
+#: only this name.
 TIER_COMPILED = "compiled"
-TIERS = (TIER_REFERENCE, TIER_COMPILED)
 
 #: Dispatch codes returned by block closures to the compiled run loop.
 CONTINUE = 0      # block done, frame.pc points at the successor
 HALTED = 1        # HALT or final RET: machine.halted set
 FAULTED = 2       # SimulatedFault: machine.fault set, state frozen
 EXHAUSTED = 3     # IN found no token: rewound, counters settled
-STEP = 4          # budget smaller than block: reference steps the tail
+STEP = 4          # budget smaller than block: the run loop steps it
 
 #: Emission cap per block; a pathological straight line splits with an
 #: explicit goto so compilation stays incremental.
@@ -342,10 +344,11 @@ class _Emitter:
 
 
 class CompiledFunction:
-    """Per-function block cache: entry pc -> compiled closure."""
+    """Per-function block cache: entry pc -> compiled closure, and
+    entry pc -> one-instruction step closure for budget tails."""
 
-    __slots__ = ("name", "code", "program_meta", "blocks", "sources",
-                 "stats")
+    __slots__ = ("name", "code", "program_meta", "blocks", "steps",
+                 "sources", "stats")
 
     def __init__(self, name: str, code, program_meta: Dict[str, int],
                  stats: FusionStats):
@@ -354,6 +357,7 @@ class CompiledFunction:
         #: callee name -> n_locals (for CALL frame construction).
         self.program_meta = program_meta
         self.blocks: Dict[int, object] = {}
+        self.steps: Dict[int, object] = {}
         self.sources: Dict[int, str] = {}
         self.stats = stats
 
@@ -367,13 +371,14 @@ class CompiledFunction:
     # block planning
     # ------------------------------------------------------------------
 
-    def block_plan(self, entry_pc: int) -> Tuple[List[int], Tuple]:
+    def block_plan(self, entry_pc: int,
+                   cap: int = MAX_BLOCK) -> Tuple[List[int], Tuple]:
         """The emission plan for the block entered at ``entry_pc``:
-        the pcs executed (in order, jump-threaded across JMPs) and the
-        terminator, one of ``("op", pc)`` (JZ/JNZ/CALL/RET/HALT at the
-        final pc), ``("goto", pc)`` (emission cap or a jump into
-        already-emitted code), or ``("loop",)`` (a JMP straight back to
-        the entry)."""
+        the pcs executed (in order, jump-threaded across JMPs, at most
+        ``cap``) and the terminator, one of ``("op", pc)``
+        (JZ/JNZ/CALL/RET/HALT at the final pc), ``("goto", pc)``
+        (``cap`` reached, or a jump into already-emitted code), or
+        ``("loop",)`` (a JMP straight back to the entry)."""
         code = self.code
         if not (0 <= entry_pc < len(code)):
             raise ProgramError(
@@ -385,7 +390,7 @@ class CompiledFunction:
             if pc in seen:
                 return pcs, (("loop",) if pc == entry_pc
                              else ("goto", pc))
-            if len(pcs) >= MAX_BLOCK:
+            if len(pcs) >= cap:
                 return pcs, ("goto", pc)
             op = code[pc][0]
             seen.add(pc)
@@ -401,9 +406,13 @@ class CompiledFunction:
     # block compilation
     # ------------------------------------------------------------------
 
-    def compile_block(self, entry_pc: int):
+    def compile_block(self, entry_pc: int, cap: int = MAX_BLOCK):
+        """Compile the block entered at ``entry_pc`` and cache it in
+        :attr:`blocks`, with its source in :attr:`sources`.  A smaller
+        ``cap`` builds a step closure for the run loop's budget tails
+        (``cap=1``: one instruction), cached in :attr:`steps` alone."""
         code = self.code
-        pcs, term = self.block_plan(entry_pc)
+        pcs, term = self.block_plan(entry_pc, cap)
         n = len(pcs)
         stats = self.stats
         stats.blocks += 1
@@ -452,7 +461,13 @@ class CompiledFunction:
             self._emit_terminator(em, term[1], n, code[term[1]],
                                   prev_pc=pcs[-2] if n > 1 else None)
 
-        return self._assemble(em, n, loop_form)
+        fn, source = self._assemble(em, n, loop_form)
+        if cap < MAX_BLOCK:
+            self.steps[entry_pc] = fn
+        else:
+            self.blocks[entry_pc] = fn
+            self.sources[entry_pc] = source
+        return fn
 
     # -- straight-line ops ----------------------------------------------
 
@@ -644,7 +659,7 @@ class CompiledFunction:
             em.needs.add("entropy")
             em.write(instr[1], "ent.next_u64()")
             return
-        # Unknown opcode: fault exactly like the reference loop.
+        # Unknown opcode: fault exactly like the oracle.
         em.needs.add("fault")
         em.breadcrumb(pc, index)
         em.emit(f"raise _SimFault('illegal opcode {op}')")
@@ -959,10 +974,7 @@ class CompiledFunction:
         namespace.update(em.globals)
         exec(compile(source, f"<jit {self.name}+{em.entry_pc}>",
                      "exec"), namespace)
-        fn = namespace["_block"]
-        self.blocks[em.entry_pc] = fn
-        self.sources[em.entry_pc] = source
-        return fn
+        return namespace["_block"], source
 
 
 class CompiledProgram:

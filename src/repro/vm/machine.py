@@ -1,4 +1,4 @@
-"""The bytecode interpreter.
+"""The bytecode machine.
 
 Design constraints, in order:
 
@@ -10,9 +10,13 @@ Design constraints, in order:
 2. **Faithful memory physics.**  Every LOAD/STORE goes through the
    simulated heap; MALLOC/FREE go through the allocator extension with
    a multi-level call-site; faults carry the faulting instruction.
-3. **Interpreter speed.**  The dispatch loop avoids attribute lookups
-   where it matters; experiments execute tens of millions of
-   instructions.
+3. **Execution speed.**  Experiments execute tens of millions of
+   instructions, and a recovery re-runs the same program thousands of
+   times, so the machine has one tier, the template JIT of
+   :mod:`repro.vm.compile`: the run loop dispatches block closures,
+   and steps a budget stop inside a block with one-instruction
+   closures.  The switch interpreter it replaced is the oracle in
+   ``tests/reference_machine.py``.
 
 The machine never raises :class:`SimulatedFault` out of :meth:`run`;
 it catches the fault, freezes, and returns a :class:`RunResult` --
@@ -25,33 +29,26 @@ from __future__ import annotations
 from enum import Enum
 from typing import List, Optional
 
-from repro.errors import (
-    AssertionFailure,
-    DivisionByZeroFault,
-    SimulatedFault,
-)
+from repro.errors import SimulatedFault
 from repro.heap.base import Memory
-from repro.heap.extension import AllocatorExtension, ExtensionMode
+from repro.heap.extension import AllocatorExtension
 from repro.util.callsite import CallSite
 from repro.util.rng import DeterministicRNG
 from repro.util.simclock import CostModel, SimClock
-from repro.vm import isa
-from repro.vm.compile import TIER_REFERENCE, TIERS, bind_program
+from repro.vm.compile import STEP, bind_program
 from repro.vm.io import OutputLog, ReplayableInput
 from repro.vm.program import Program
 from repro.vm.state import Frame, MachineSnapshot
-
-_MASK64 = (1 << 64) - 1
 
 
 class VMInstruments:
     """The machine's telemetry counters, batch-flushed.
 
-    The dispatch loop tallies instruction and heap-access counts in
-    plain locals and flushes them here only at run/stop boundaries
-    (exactly like the clock-charging batching), so telemetry adds no
-    per-instruction Python calls; with telemetry disabled the machine
-    holds no instruments at all.
+    Block closures tally instruction and heap-access counts in plain
+    locals and the run loop flushes them here only at run/stop
+    boundaries (exactly like the clock-charging batching), so
+    telemetry adds no per-instruction Python calls; with telemetry
+    disabled the machine holds no instruments at all.
     """
 
     __slots__ = ("instructions", "heap_reads", "heap_writes")
@@ -99,11 +96,7 @@ class Machine:
                  output: Optional[OutputLog] = None,
                  clock: Optional[SimClock] = None,
                  costs: Optional[CostModel] = None,
-                 entropy_seed: int = 1,
-                 tier: str = TIER_REFERENCE):
-        if tier not in TIERS:
-            raise ValueError(f"unknown vm tier {tier!r} "
-                             f"(expected one of {TIERS})")
+                 entropy_seed: int = 1):
         self.program = program
         self.mem = mem
         self.extension = extension
@@ -114,12 +107,10 @@ class Machine:
         self.costs = costs or CostModel()
         self.entropy = DeterministicRNG(entropy_seed)
         self.trace_accesses = False
-        self.tier = tier
         #: Set by attach_metrics(); None keeps the hot path untouched.
         self.vm_metrics: Optional[VMInstruments] = None
-        #: Compiled-tier batching: sim-time and telemetry accumulated
-        #: across block closures, charged/flushed at run exits (the
-        #: same discipline the reference loop keeps in locals).
+        #: Sim-time and telemetry accumulated across block closures,
+        #: charged/flushed at run exits.
         self._pending = 0
         self._reads = 0
         self._writes = 0
@@ -166,12 +157,6 @@ class Machine:
         ``stop_at`` is an absolute ``instr_count`` at which to pause
         (the checkpoint manager's boundary); ``max_steps`` is a relative
         budget on this call.
-
-        Dispatches to the tier selected at construction: the reference
-        interpreter, or the template-JIT compiled tier
-        (:mod:`repro.vm.compile`), which is observably identical and
-        exists purely to make the thousands of re-executions a recovery
-        performs cheap.
         """
         if self.fault is not None:
             return RunResult(RunReason.FAULT, self.fault)
@@ -183,242 +168,21 @@ class Machine:
             stop_at = (budget_stop if stop_at is None
                        else min(stop_at, budget_stop))
 
-        if self.tier == TIER_REFERENCE:
-            return self._run_reference(stop_at)
         return self._run_compiled(stop_at)
 
     def _finish_run(self, pending_ns: int, entry_count: int,
                     n_reads: int, n_writes: int) -> None:
-        """The one exit sequence every run path funnels through:
-        charge batched sim-time, flush batched telemetry."""
+        """The one exit sequence every run funnels through: charge
+        batched sim-time, flush batched telemetry."""
         if pending_ns:
             self.clock.charge(pending_ns)
         if self.vm_metrics is not None:
             self.vm_metrics.flush(self.instr_count - entry_count,
                                   n_reads, n_writes)
 
-    def _run_reference(self, stop_at: Optional[int]) -> RunResult:
-        mem = self.mem
-        clock = self.clock
-        instr_ns = self.costs.instr_ns
-        frames = self.frames
-        glb = self.globals
-        ext = self.extension
-        # trace_accesses only changes between runs, never during one,
-        # so the flag (and the extension it gates) hoists out of the
-        # per-instruction path.
-        trace = self.trace_accesses
-        # Per-instruction time is accumulated locally and charged in
-        # bulk at run/stop boundaries and before any operation that
-        # reads the clock: a clock.charge() attribute call on every one
-        # of tens of millions of instructions is pure dispatch
-        # overhead, and the clock value is only *observed* at OUT,
-        # MALLOC/FREE (extension bookkeeping), and run exits.
-        pending_ns = 0
-        # Telemetry counters batch the same way: locals in the loop,
-        # one flush per exit.  tel is False whenever no registry is
-        # attached, so the disabled path adds no calls.
-        vm_metrics = self.vm_metrics
-        tel = vm_metrics is not None
-        entry_count = self.instr_count
-        n_reads = 0
-        n_writes = 0
-
-        while True:
-            if stop_at is not None and self.instr_count >= stop_at:
-                self._finish_run(pending_ns, entry_count,
-                                 n_reads, n_writes)
-                return RunResult(RunReason.STOP)
-            frame = frames[-1]
-            # No bounds check: Program.finalize appends a sentinel RET
-            # to every function that can fall through, so pc is always
-            # in range.
-            pc = frame.pc
-            instr = frame.func.code[pc]
-            op = instr[0]
-            frame.pc = pc + 1
-            self.instr_count += 1
-            pending_ns += instr_ns
-            loc = frame.locals
-
-            try:
-                if op == isa.LOAD:
-                    addr = loc[instr[2]] + instr[3]
-                    if trace:
-                        ext.note_access(
-                            addr, instr[4], False, (frame.func.name, pc))
-                    loc[instr[1]] = mem.read_uint(addr, instr[4])
-                    if tel:
-                        n_reads += 1
-                elif op == isa.STORE:
-                    addr = loc[instr[1]] + instr[2]
-                    if trace:
-                        ext.note_access(
-                            addr, instr[3], True, (frame.func.name, pc))
-                    mem.write_uint(addr, instr[3], loc[instr[4]])
-                    if tel:
-                        n_writes += 1
-                elif op == isa.CONST:
-                    loc[instr[1]] = instr[2] & _MASK64
-                elif op == isa.MOV:
-                    loc[instr[1]] = loc[instr[2]]
-                elif op == isa.ADD:
-                    loc[instr[1]] = (loc[instr[2]] + loc[instr[3]]) & _MASK64
-                elif op == isa.ADDI:
-                    loc[instr[1]] = (loc[instr[2]] + instr[3]) & _MASK64
-                elif op == isa.SUB:
-                    loc[instr[1]] = (loc[instr[2]] - loc[instr[3]]) & _MASK64
-                elif op == isa.MUL:
-                    loc[instr[1]] = (loc[instr[2]] * loc[instr[3]]) & _MASK64
-                elif op == isa.DIV:
-                    d = loc[instr[3]]
-                    if d == 0:
-                        raise DivisionByZeroFault("division by zero")
-                    loc[instr[1]] = loc[instr[2]] // d
-                elif op == isa.MOD:
-                    d = loc[instr[3]]
-                    if d == 0:
-                        raise DivisionByZeroFault("modulo by zero")
-                    loc[instr[1]] = loc[instr[2]] % d
-                elif op == isa.AND:
-                    loc[instr[1]] = loc[instr[2]] & loc[instr[3]]
-                elif op == isa.OR:
-                    loc[instr[1]] = loc[instr[2]] | loc[instr[3]]
-                elif op == isa.XOR:
-                    loc[instr[1]] = loc[instr[2]] ^ loc[instr[3]]
-                elif op == isa.SHL:
-                    loc[instr[1]] = (loc[instr[2]]
-                                     << (loc[instr[3]] & 63)) & _MASK64
-                elif op == isa.SHR:
-                    loc[instr[1]] = loc[instr[2]] >> (loc[instr[3]] & 63)
-                elif op == isa.LT:
-                    loc[instr[1]] = 1 if loc[instr[2]] < loc[instr[3]] else 0
-                elif op == isa.LE:
-                    loc[instr[1]] = 1 if loc[instr[2]] <= loc[instr[3]] else 0
-                elif op == isa.GT:
-                    loc[instr[1]] = 1 if loc[instr[2]] > loc[instr[3]] else 0
-                elif op == isa.GE:
-                    loc[instr[1]] = 1 if loc[instr[2]] >= loc[instr[3]] else 0
-                elif op == isa.EQ:
-                    loc[instr[1]] = 1 if loc[instr[2]] == loc[instr[3]] else 0
-                elif op == isa.NE:
-                    loc[instr[1]] = 1 if loc[instr[2]] != loc[instr[3]] else 0
-                elif op == isa.NOT:
-                    loc[instr[1]] = 1 if loc[instr[2]] == 0 else 0
-                elif op == isa.NEG:
-                    loc[instr[1]] = (-loc[instr[2]]) & _MASK64
-                elif op == isa.JMP:
-                    frame.pc = instr[1]
-                elif op == isa.JZ:
-                    if loc[instr[1]] == 0:
-                        frame.pc = instr[2]
-                elif op == isa.JNZ:
-                    if loc[instr[1]] != 0:
-                        frame.pc = instr[2]
-                elif op == isa.CALL:
-                    callee = self.program.functions[instr[2]]
-                    new_locals = [0] * callee.n_locals
-                    for i, slot in enumerate(instr[3]):
-                        new_locals[i] = loc[slot]
-                    frames.append(Frame(callee, 0, new_locals, instr[1]))
-                elif op == isa.RET:
-                    value = 0 if instr[1] is None else loc[instr[1]]
-                    finished = frames.pop()
-                    if not frames:
-                        self.halted = True
-                        self._finish_run(pending_ns, entry_count,
-                                         n_reads, n_writes)
-                        return RunResult(RunReason.HALT)
-                    if finished.ret_dst is not None:
-                        frames[-1].locals[finished.ret_dst] = value
-                elif op == isa.MALLOC:
-                    clock.charge(pending_ns + self.costs.alloc_ns)
-                    pending_ns = 0
-                    site = (None if ext.mode is ExtensionMode.OFF
-                            else self.current_callsite(pc))
-                    loc[instr[1]] = ext.malloc(loc[instr[2]], site)
-                elif op == isa.FREE:
-                    clock.charge(pending_ns + self.costs.alloc_ns)
-                    pending_ns = 0
-                    site = (None if ext.mode is ExtensionMode.OFF
-                            else self.current_callsite(pc))
-                    ext.free(loc[instr[1]], site)
-                elif op == isa.MEMSET:
-                    addr, val, ln = (loc[instr[1]], loc[instr[2]],
-                                     loc[instr[3]])
-                    if ln:
-                        if trace:
-                            ext.note_access(
-                                addr, ln, True, (frame.func.name, pc))
-                        mem.fill(addr, val & 0xFF, ln)
-                        clock.charge(self.costs.fill_cost(ln))
-                        if tel:
-                            n_writes += 1
-                elif op == isa.MEMCPY:
-                    dst, src, ln = (loc[instr[1]], loc[instr[2]],
-                                    loc[instr[3]])
-                    if ln:
-                        if trace:
-                            iid = (frame.func.name, pc)
-                            ext.note_access(src, ln, False, iid)
-                            ext.note_access(dst, ln, True, iid)
-                        mem.copy_within(dst, src, ln)
-                        clock.charge(self.costs.fill_cost(ln))
-                        if tel:
-                            n_reads += 1
-                            n_writes += 1
-                elif op == isa.IN:
-                    token = self.input.next()
-                    if token is None:
-                        # Rewind so a later feed()+run() re-executes IN.
-                        # The rewound IN is excluded from the charge as
-                        # well as the count: it never executed, so its
-                        # instr_ns stays out of sim time and the flushed
-                        # telemetry matches instr_count exactly.
-                        frame.pc = pc
-                        self.instr_count -= 1
-                        self._finish_run(pending_ns - instr_ns,
-                                         entry_count, n_reads, n_writes)
-                        return RunResult(RunReason.INPUT_EXHAUSTED)
-                    loc[instr[1]] = token & _MASK64
-                elif op == isa.OUT:
-                    if pending_ns:
-                        clock.charge(pending_ns)
-                        pending_ns = 0
-                    self.output.emit(clock.now_ns, loc[instr[1]])
-                elif op == isa.ASSERT:
-                    if loc[instr[1]] == 0:
-                        raise AssertionFailure(instr[2] or "assertion failed")
-                elif op == isa.HALT:
-                    self.halted = True
-                    self._finish_run(pending_ns, entry_count,
-                                     n_reads, n_writes)
-                    return RunResult(RunReason.HALT)
-                elif op == isa.GLOAD:
-                    loc[instr[1]] = glb[instr[2]]
-                elif op == isa.GSTORE:
-                    glb[instr[1]] = loc[instr[2]]
-                elif op == isa.RAND:
-                    loc[instr[1]] = self.entropy.next_u64()
-                elif op == isa.NOP:
-                    pass
-                else:  # pragma: no cover - finalize() rejects these
-                    raise SimulatedFault(f"illegal opcode {op}")
-            except SimulatedFault as fault:
-                self._finish_run(pending_ns, entry_count,
-                                 n_reads, n_writes)
-                fault.instr_id = (frame.func.name, pc)
-                self.fault = fault
-                return RunResult(RunReason.FAULT, fault)
-
-    # ------------------------------------------------------------------
-    # compiled tier
-    # ------------------------------------------------------------------
-
     def _compiled_exit(self, entry_count: int) -> None:
         """Charge and flush the batched state block closures left in
-        ``_pending``/``_reads``/``_writes`` (the compiled analogue of
-        the reference loop's exit sequence)."""
+        ``_pending``/``_reads``/``_writes``."""
         self._finish_run(self._pending, entry_count,
                          self._reads, self._writes)
         self._pending = 0
@@ -444,22 +208,43 @@ class Machine:
             if block is None:
                 block = jit.compile_block(frame.pc)
             code = block(self, frame, stop_at)
+            if code == STEP:
+                code = self._step_tail(stop_at)
             if code == 0:
                 continue
-            if code == 4:
-                # The remaining budget is smaller than this block: the
-                # reference loop steps the tail with per-instruction
-                # stop precision.  Settle the batched state first so
-                # both tiers' charges and flushes compose to the same
-                # totals (no observation happens in between).
-                self._compiled_exit(entry_count)
-                return self._run_reference(stop_at)
             self._compiled_exit(entry_count)
             if code == 1:
                 return RunResult(RunReason.HALT)
             if code == 2:
                 return RunResult(RunReason.FAULT, self.fault)
             return RunResult(RunReason.INPUT_EXHAUSTED)
+
+    def _step_tail(self, stop_at: int) -> int:
+        """Step the budget tail: the instructions left before
+        ``stop_at`` when a block returned STEP because it is longer.
+        Each step is a one-instruction closure
+        (``compile_block(pc, cap=1)``), so the run stops exactly at
+        ``stop_at``.  Returns 0 there, or the HALT, fault or
+        input-exhaustion code of the step that ended the run."""
+        frames = self.frames
+        while self.instr_count < stop_at:
+            frame = frames[-1]
+            jit = frame.func.jit
+            step = jit.steps.get(frame.pc)
+            if step is None:
+                step = jit.compile_block(frame.pc, cap=1)
+            code = step(self, frame, stop_at)
+            if code == STEP:
+                # A tail is a prefix of the block that returned STEP,
+                # short of its terminator, and one instruction fits any
+                # budget left.  Retrying a step that did not fit would
+                # never return.
+                raise RuntimeError(
+                    f"step at {frame.func.name}+{frame.pc} made no "
+                    "progress")
+            if code:
+                return code
+        return 0
 
     # ------------------------------------------------------------------
     # snapshot / restore (machine part only)

@@ -30,8 +30,7 @@ class Function:
         self.n_locals = n_locals
         self.code: List[Instr] = list(code)
         #: Compiled tier attachment (repro.vm.compile.CompiledFunction);
-        #: bound lazily the first time a compiled-tier machine runs this
-        #: program, None under the reference interpreter.
+        #: bound lazily the first time a machine runs this program.
         self.jit = None
 
     def __repr__(self) -> str:

@@ -16,6 +16,7 @@ from repro.monitors import (
     HeapCorruptionMonitor,
     default_monitors,
 )
+from repro.process import Process
 
 OVERFLOW_SERVER = """
 int victim = 0;
@@ -201,6 +202,24 @@ def test_config_surface_is_pinned():
     ]
     params = inspect.signature(FirstAidRuntime.__init__).parameters
     assert list(params) == ["self", "program", "input_tokens", "config"]
+
+
+def test_a_tier_other_than_compiled_is_rejected():
+    """The machine has one tier.  ``vm_tier`` stays on Process and on
+    the config for callers that pin it, but a stale caller naming
+    another tier fails loudly instead of running compiled."""
+    program = compile_program(OVERFLOW_SERVER)
+    with pytest.raises(ValueError, match="'reference'"):
+        Process(program, vm_tier="reference")
+    with pytest.raises(ValueError, match="'reference'"):
+        FirstAidRuntime(program, [0],
+                        FirstAidConfig(vm_tier="reference"))
+    runtime = FirstAidRuntime(program, [0],
+                              FirstAidConfig(vm_tier="compiled"))
+    try:
+        assert runtime.run().reason == "halt"
+    finally:
+        runtime.close()
 
 
 class TestMonitors:

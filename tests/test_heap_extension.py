@@ -2,8 +2,6 @@
 validation modes, changes, manifestation evidence, access tracing and
 its watch)."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -29,6 +27,7 @@ from repro.heap.extension import (
 from repro.heap.random_alloc import RandomizedLeaAllocator
 from repro.parallel.tasks import run_task
 from repro.util.callsite import CallSite
+from tests.reference_machine import SIDES
 
 SITE_A = CallSite([("alloc_site", 1), ("main", 10)])
 SITE_F = CallSite([("free_site", 2), ("main", 20)])
@@ -462,8 +461,8 @@ def test_validation_task_calls_note_access_for_few_accesses(app,
                                                             monkeypatch):
     """One validation task per app, captured as the runtime builds it:
     on the compiled tier (watch) it calls note_access for at most a
-    tenth of the accesses the reference tier (every access) traces,
-    and its outcome equals the reference tier's."""
+    tenth of the accesses the oracle (every access) traces, and its
+    outcome equals the oracle's."""
 
     class Captured(BaseException):
         pass
@@ -488,9 +487,10 @@ def test_validation_task_calls_note_access_for_few_accesses(app,
 
     monkeypatch.setattr(AllocatorExtension, "note_access", counting)
     outcomes = {}
-    for tier in ("reference", "compiled"):
+    for tier, side in SIDES.items():
         calls.clear()
-        out = run_task(app.program(), replace(task, vm_tier=tier))
+        with side():
+            out = run_task(app.program(), task)
         outcomes[tier] = (len(calls), out)
     (traced, ref), (called, cmp_) = (outcomes["reference"],
                                      outcomes["compiled"])

@@ -1,22 +1,24 @@
 """Differential tests for the template-JIT tier (:mod:`repro.vm.compile`).
 
 The compiled tier is only allowed to exist because it is *observably
-identical* to the reference interpreter.  The fuzzer here generates
-random bytecode programs -- loops, calls, memory traffic with
-out-of-bounds offsets, division by runtime zeros, input exhaustion --
-and runs every one under both tiers, comparing the full observable
-surface: run reasons, fault type/message/instr_id, frame freezes,
-instruction counts, the simulated clock, output timestamps, memory
-snapshots, the input cursor and the allocator extension's state
+identical* to the switch interpreter it replaced, kept as the oracle in
+``tests/reference_machine.py``.  The fuzzer here generates random
+bytecode programs -- loops, calls, memory traffic with out-of-bounds
+offsets, division by runtime zeros, input exhaustion -- and runs every
+one on the oracle and on the compiled tier, comparing the full
+observable surface: run reasons, fault type/message/instr_id, frame
+freezes, instruction counts, the simulated clock, output timestamps,
+memory snapshots, the input cursor and the allocator extension's state
 (illegal accesses in order, the mm trace).  ``stop_at`` chunking is
-fuzzed too, so checkpoint boundaries that land mid-block (the
-reference-tail path) are exercised continuously.
+fuzzed too, so checkpoint boundaries that land mid-block (the budget
+tails the run loop steps with one-instruction closures) are exercised
+continuously.
 
 A traced-validation mode runs the programs the way a validation task
 does: the extension in VALIDATION mode on the machine's clock, a
 policy that pads, zero-fills or delay-frees by allocation site and
-freed size, and the access watch built.  The reference tier, which
-calls ``note_access`` on every access, is the watch's oracle.
+freed size, and the access watch built.  The oracle calls
+``note_access`` on every access, so it checks the watch too.
 
 Deterministic unit tests below pin the compiler's structure: block
 planning and jump threading, loop closing and slot promotion, fusion
@@ -24,6 +26,8 @@ statistics, the literal-divisor fast path, the cross-machine program
 cache, the input-rewind accounting regression, every exit of a promoted
 loop and of a straight-line block, every access-tracing outcome through
 each memory op, and the shape of the seven apps' compiled sources.
+The seven apps also run in budgets of a few instructions, so most
+stops land inside a block and the run loop steps its tail.
 """
 
 import re
@@ -32,6 +36,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.registry import real_bug_apps
+from repro.bench.harness import spaced_workload
 from repro.heap.allocator import LeaAllocator
 from repro.heap.base import Memory
 from repro.heap.extension import (
@@ -48,7 +53,8 @@ from repro.vm import compile as vmc
 from repro.vm import isa
 from repro.vm.builder import ProgramBuilder
 from repro.vm.io import OutputLog, ReplayableInput
-from repro.vm.machine import Machine
+from repro.vm.machine import Machine, RunReason
+from tests.reference_machine import SIDES, reference_tier
 
 # ---------------------------------------------------------------------------
 # differential harness
@@ -96,16 +102,14 @@ class SitePolicy(ChangePolicy):
                             canary_fill=obj.user_size > 64, patch_id=5)
 
 
-def machine_for(program, tokens=(), tier=vmc.TIER_REFERENCE,
-                trace=False, salt=None):
+def machine_for(program, tokens=(), trace=False, salt=None):
     """A bare machine, traced or not; or, with a ``salt``, the
     traced-validation mode (a :class:`Process` with the watch built)."""
     if salt is not None:
         policy = SitePolicy(salt)
         process = Process(program, input_tokens=list(tokens),
                           mode=ExtensionMode.VALIDATION, policy=policy,
-                          quarantine_threshold=VALIDATION_QUARANTINE,
-                          vm_tier=tier)
+                          quarantine_threshold=VALIDATION_QUARANTINE)
         policy.ext = process.extension
         process.extension.trace_mm = True
         process.trace_accesses()
@@ -114,7 +118,7 @@ def machine_for(program, tokens=(), tier=vmc.TIER_REFERENCE,
     ext = AllocatorExtension(mem, LeaAllocator(mem),
                              ExtensionMode.DIAGNOSTIC)
     m = Machine(program, mem, ext, ReplayableInput(list(tokens)),
-                OutputLog(), tier=tier)
+                OutputLog())
     m.trace_accesses = trace
     return m
 
@@ -142,21 +146,22 @@ def observe(m):
 
 def run_differential(program, tokens=(), trace=False, chunks=None,
                      max_runs=20000, salt=None):
-    """Run ``program`` under both tiers and assert every observable
+    """Run ``program`` on both sides and assert every observable
     matches; ``chunks`` re-enters via ``stop_at`` budgets and ``salt``
     selects the traced-validation mode."""
     results = []
-    for tier in vmc.TIERS:
-        m = machine_for(program, tokens, tier, trace, salt)
+    for side in SIDES.values():
+        m = machine_for(program, tokens, trace, salt)
         reasons = []
-        if chunks is None:
-            reasons.append(m.run().reason)
-        else:
-            for _ in range(max_runs):
-                r = m.run(stop_at=m.instr_count + chunks)
-                reasons.append(r.reason)
-                if r.reason.value in ("input", "halt", "fault"):
-                    break
+        with side():
+            if chunks is None:
+                reasons.append(m.run().reason)
+            else:
+                for _ in range(max_runs):
+                    r = m.run(stop_at=m.instr_count + chunks)
+                    reasons.append(r.reason)
+                    if r.reason.value in ("input", "halt", "fault"):
+                        break
         results.append((observe(m), reasons))
     assert results[0] == results[1]
     return results[0]
@@ -312,9 +317,9 @@ def test_fuzz_chunked_stop_at_matches_reference(inits, pre_ops,
 def test_fuzz_traced_validation_matches_reference(inits, pre_ops,
                                                   loop_ops, n_loop,
                                                   tokens, chunks, salt):
-    """The compiled tier's access watch against its oracle, the
-    reference tier's call on every access: the same illegal accesses
-    in the same order, mm trace, init bitmaps, quarantine and clock."""
+    """The compiled tier's access watch against the oracle's call on
+    every access: the same illegal accesses in the same order, mm
+    trace, init bitmaps, quarantine and clock."""
     program = build_random_program(inits, pre_ops, loop_ops, n_loop)
     run_differential(program, tokens=tokens, chunks=chunks, salt=salt)
 
@@ -347,7 +352,7 @@ def test_loop_is_jump_threaded_and_closed():
     vmc.clear_cache()
     program = counting_loop_program()
     unit = vmc.bind_program(program)
-    m = machine_for(program, tier=vmc.TIER_COMPILED)
+    m = machine_for(program)
     m.run()
     assert m.halted and m.output.values() == [sum(range(500))]
     stats = unit.stats.as_dict()
@@ -412,7 +417,7 @@ def test_program_cache_shared_across_machines():
     assert first.code_key() == second.code_key()
     outputs = []
     for program in (first, second):
-        m = machine_for(program, tier=vmc.TIER_COMPILED)
+        m = machine_for(program)
         m.run()
         outputs.append(m.output.values())
     assert outputs[0] == outputs[1]
@@ -437,12 +442,13 @@ def echo_program():
 
 def test_input_rewind_counts_and_clock_are_exact():
     """Regression for the exhaustion-rewind accounting: the rewound IN
-    is neither counted nor charged, in either tier."""
+    is neither counted nor charged, on either side."""
     vmc.clear_cache()
     program = echo_program()
-    for tier in vmc.TIERS:
-        m = machine_for(program, tokens=(7, 8, 9), tier=tier)
-        result = m.run()
+    for side in SIDES.values():
+        m = machine_for(program, tokens=(7, 8, 9))
+        with side():
+            result = m.run()
         assert result.reason.value == "input"
         # Three full echo iterations (IN, OUT, JMP), then the fourth
         # IN rewinds before counting itself.
@@ -478,7 +484,7 @@ def test_fault_freeze_is_identical_mid_loop():
     obs = run_differential(program)
     assert obs[0]["fault"] is not None
     # The runaway store trips either the heap's metadata canary or the
-    # mapping bounds, depending on layout; identity across tiers is
+    # mapping bounds, depending on layout; identity across sides is
     # what matters (run_differential already asserted it).
     assert obs[0]["fault"][0] in ("SegmentationFault",
                                   "HeapCorruptionFault")
@@ -556,15 +562,15 @@ def outcome_program(target, offset, write, op):
     for op in _OPS[spec[2]]])
 def test_traced_access_outcomes_match_reference(outcome, op):
     """Each tracing outcome through LOAD, STORE, MEMSET and MEMCPY in
-    the traced-validation mode: both tiers observe the same, and the
+    the traced-validation mode: both sides observe the same, and the
     compiled tier calls ``note_access`` only for the watched access
-    (the reference tier calls it for every one)."""
+    (the oracle calls it for every one)."""
     target, offset, write, kinds = _OUTCOMES[outcome]
     program = outcome_program(target, offset, write, op)
     runs = []
-    for tier in vmc.TIERS:
+    for side in SIDES.values():
         process = Process(
-            program, mode=ExtensionMode.VALIDATION, vm_tier=tier,
+            program, mode=ExtensionMode.VALIDATION,
             policy=QueuePolicy([
                 AllocDecision(pad_pre=PAD_PRE, pad_post=PAD_POST,
                               canary_pad=True, patch_id=1),
@@ -581,7 +587,8 @@ def test_traced_access_outcomes_match_reference(outcome, op):
             note(*args)
 
         ext.note_access = counting
-        process.run()
+        with side():
+            process.run()
         zer, = [o for o in ext.live_objects() if o.written is not None]
         runs.append((observe(process.machine), len(calls),
                      bytes(zer.written[8:16])))
@@ -654,7 +661,7 @@ def test_promoted_loop_exits_match_reference(reason):
     vmc.clear_cache()
     program = promoted_exit_program()
     tokens = _LOOP_TOKENS[reason]
-    m = machine_for(program, tokens, tier=vmc.TIER_COMPILED)
+    m = machine_for(program, tokens)
     assert m.run().reason.value == reason
     cf = vmc.compiled_for(program).functions["main"]
     (entry, src), = [(pc, src) for pc, src in cf.sources.items()
@@ -714,7 +721,7 @@ def test_straight_line_exits_match_reference(case):
     """A straight-line block loads a slot only when it reads it, or an
     exit may store it back, before assigning it; every exit -- halt,
     input exhaustion before and after its writes, fault freeze and, at
-    every chunk size, the reference tail -- matches the reference."""
+    every chunk size, the stepped tail -- matches the reference."""
     vmc.clear_cache()
     program, slots = straight_line_exit_program()
     cf = vmc.compiled_for(program).functions["main"]
@@ -775,3 +782,39 @@ def test_app_sources_use_struct_access_and_promoted_slots(app):
                     assert i < body and _LOAD.fullmatch(line), line
             loops += "while True:" in lines
     assert loops >= 1
+
+
+# ---------------------------------------------------------------------------
+# the seven apps, stepped at every budget
+# ---------------------------------------------------------------------------
+
+#: Instructions of each app's spaced workload the stepping test runs:
+#: enough for five of the seven to reach their first fault.
+STEPPED_PREFIX = 25000
+
+
+@pytest.mark.parametrize("app", real_bug_apps(), ids=lambda a: a.name)
+def test_app_stepped_at_each_budget_matches_whole_run(app):
+    """Each app on a prefix of its spaced workload, run in budgets of
+    1, 3 and 7 instructions, ends where one unstepped run and the
+    oracle end: most budget stops land inside a block, where the run
+    loop steps the tail with one-instruction closures.  Compared:
+    instruction count, clock, outputs, fault identity and the process
+    snapshot."""
+    program = app.program()
+    tokens = spaced_workload(app).tokens
+
+    def run(k=None):
+        process = Process(program, input_tokens=tokens)
+        m = process.machine
+        while m.instr_count < STEPPED_PREFIX:
+            result = m.run(stop_at=STEPPED_PREFIX, max_steps=k)
+            if result.reason is not RunReason.STOP:
+                break
+        return dict(observe(m), allocator=process.allocator.snapshot())
+
+    whole = run()
+    with reference_tier():
+        assert run() == whole
+    for k in (1, 3, 7):
+        assert run(k) == whole, k
