@@ -138,6 +138,74 @@ def memory_kernel(iters: int):
     return pb.build()
 
 
+def byte_store_kernel(iters: int):
+    """Apache ``handle_static``'s loop, op for op: a byte store per
+    iteration into a 256-byte buffer at ``i % 256`` and a running sum,
+    through the temporaries the MiniC compiler emits (``t1``, ``t2``)."""
+    pb = ProgramBuilder("k_bstore")
+    fb = pb.function("main")
+    fb.const("sz", 256)
+    fb.malloc("p", "sz")
+    fb.const("i", 0)
+    fb.const("n", iters)
+    fb.const("acc", 0)
+    fb.label("top")
+    fb.binop("<", "t2", "i", "n")
+    fb.jz("t2", "done")
+    fb.const("t2", 256)
+    fb.binop("%", "t1", "i", "t2")
+    fb.binop("+", "t2", "p", "t1")
+    fb.store("t2", "i", 0, 1)
+    fb.const("t2", 0)
+    fb.binop("+", "t2", "acc", "i")
+    fb.mov("acc", "t2")
+    fb.const("t2", 1)
+    fb.binop("+", "t1", "i", "t2")
+    fb.mov("i", "t1")
+    fb.jmp("top")
+    fb.label("done")
+    fb.free("p")
+    fb.output("acc")
+    fb.halt()
+    pb.add(fb)
+    return pb.build()
+
+
+def byte_sum_kernel(iters: int):
+    """The ``checksum`` loop of cvs and squid, op for op: a byte load
+    and add per iteration over a 512-byte buffer, through the MiniC
+    compiler's temporaries; rerun ``iters // 512`` times."""
+    pb = ProgramBuilder("k_bsum")
+    fb = pb.function("main")
+    fb.const("sz", 512)
+    fb.malloc("p", "sz")
+    fb.const("v", 7)
+    fb.memset("p", "v", "sz")
+    fb.const("r", max(1, iters // 512))
+    fb.const("sum", 0)
+    fb.label("outer")
+    fb.const("i", 0)
+    fb.label("top")
+    fb.binop("<", "t", "i", "sz")
+    fb.jz("t", "next")
+    fb.binop("+", "t", "p", "i")
+    fb.load("b", "t", 0, 1)
+    fb.binop("+", "t", "sum", "b")
+    fb.mov("sum", "t")
+    fb.const("b", 1)
+    fb.binop("+", "t", "i", "b")
+    fb.mov("i", "t")
+    fb.jmp("top")
+    fb.label("next")
+    fb.addi("r", "r", -1)
+    fb.jnz("r", "outer")
+    fb.free("p")
+    fb.output("sum")
+    fb.halt()
+    pb.add(fb)
+    return pb.build()
+
+
 def call_kernel(iters: int):
     """A call-heavy loop: block cache hits across frames, CALL/RET
     transitions through the dispatcher."""
@@ -188,6 +256,8 @@ def kernel_bench(scale: int) -> dict:
         "straight_line": straight_line_kernel(scale),
         "tight_loop": tight_loop_kernel(scale * 20),
         "memory": memory_kernel(scale * 4),
+        "byte_store": byte_store_kernel(scale * 4),
+        "byte_sum": byte_sum_kernel(scale * 4),
         "calls": call_kernel(scale * 4),
     }
     vmc.clear_cache()

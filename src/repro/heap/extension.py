@@ -29,7 +29,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import HeapCorruptionFault
 from repro.heap.allocator import LeaAllocator
@@ -95,6 +96,9 @@ class FreeDecision:
 _PLAIN_ALLOC = AllocDecision()
 _PLAIN_FREE = FreeDecision()
 
+_OFF, _VALIDATION = ExtensionMode.OFF, ExtensionMode.VALIDATION
+_LIVE = ObjectState.LIVE
+
 
 class ChangePolicy:
     """Decides the environmental changes for each operation.
@@ -112,27 +116,45 @@ class ChangePolicy:
         return FreeDecision.plain()
 
 
-@dataclass
 class ObjectInfo:
-    """Extension-side record of one object (the 16-byte metadata)."""
+    """Extension-side record of one object (the 16-byte metadata), one
+    per allocation.  ``block_addr`` is where the pre-pad starts;
+    ``written`` holds init-tracking bytes (validation only)."""
 
-    user_addr: int
-    user_size: int
-    block_addr: int        # allocator-level address (start of pre-pad)
-    block_size: int
-    pad_pre: int
-    pad_post: int
-    canary_pad: bool
-    fill: Optional[str]
-    alloc_site: Optional[CallSite]
-    alloc_seq: int
-    patch_id: Optional[int] = None
-    sampled: bool = False  # promoted to a guarded allocation by sampling
-    state: ObjectState = ObjectState.LIVE
-    free_site: Optional[CallSite] = None
-    free_patch_id: Optional[int] = None
-    canary_filled_on_free: bool = False
-    written: Optional[bytearray] = None  # init-tracking (validation only)
+    __slots__ = ("user_addr", "user_size", "block_addr", "block_size",
+                 "pad_pre", "pad_post", "canary_pad", "fill",
+                 "alloc_site", "alloc_seq", "patch_id", "sampled",
+                 "state", "free_site", "free_patch_id",
+                 "canary_filled_on_free", "written")
+
+    def __init__(self, user_addr: int, user_size: int, block_addr: int,
+                 block_size: int, pad_pre: int, pad_post: int,
+                 canary_pad: bool, fill: Optional[str],
+                 alloc_site: Optional[CallSite], alloc_seq: int,
+                 patch_id: Optional[int] = None, sampled: bool = False,
+                 state: ObjectState = ObjectState.LIVE,
+                 free_site: Optional[CallSite] = None,
+                 free_patch_id: Optional[int] = None,
+                 canary_filled_on_free: bool = False,
+                 written: Optional[bytearray] = None):
+        self.user_addr, self.user_size = user_addr, user_size
+        self.block_addr, self.block_size = block_addr, block_size
+        self.pad_pre, self.pad_post = pad_pre, pad_post
+        self.canary_pad, self.fill = canary_pad, fill
+        self.alloc_site, self.alloc_seq = alloc_site, alloc_seq
+        self.patch_id, self.sampled = patch_id, sampled
+        self.state, self.free_site = state, free_site
+        self.free_patch_id, self.written = free_patch_id, written
+        self.canary_filled_on_free = canary_filled_on_free
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _OBJECT_FIELDS(self) == _OBJECT_FIELDS(other)
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__slots__, _OBJECT_FIELDS(self))
+        return "ObjectInfo(%s)" % ", ".join(f"{k}={v!r}" for k, v in pairs)
 
     def contains(self, addr: int) -> bool:
         return self.user_addr <= addr < self.user_addr + self.user_size
@@ -145,18 +167,19 @@ class ObjectInfo:
         return self.pad_post > 0 and end <= addr < self.block_addr + self.block_size
 
     def copy(self) -> "ObjectInfo":
-        """An independent copy (the init-tracking bytes included);
-        cheaper than :func:`dataclasses.replace` for snapshots."""
-        clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__)
+        """An independent copy (the init-tracking bytes included)."""
+        clone = type(self)(*_OBJECT_FIELDS(self))
         if self.written is not None:
             clone.written = bytearray(self.written)
         return clone
 
 
-@dataclass(frozen=True)
-class MMTraceEntry:
-    """One line of the memory-management trace (bug report item 4)."""
+_OBJECT_FIELDS = attrgetter(*ObjectInfo.__slots__)
+
+
+class MMTraceEntry(NamedTuple):
+    """One line of the memory-management trace (bug report item 4);
+    validation records one per heap op and ships them from workers."""
 
     seq: int
     op: str                # "malloc" | "free"
@@ -425,16 +448,6 @@ class AllocatorExtension:
             return 2 * costs.extension_ns  # multi-level capture etc.
         return 3 * costs.extension_ns
 
-    def _index_add(self, obj: ObjectInfo) -> None:
-        bisect.insort(self._starts, obj.block_addr)
-        self._by_start[obj.block_addr] = obj.user_addr
-
-    def _index_remove(self, obj: ObjectInfo) -> None:
-        i = bisect.bisect_left(self._starts, obj.block_addr)
-        if i < len(self._starts) and self._starts[i] == obj.block_addr:
-            self._starts.pop(i)
-        self._by_start.pop(obj.block_addr, None)
-
     def left_neighbor(self, obj: ObjectInfo) -> Optional[ObjectInfo]:
         """Nearest tracked object whose block precedes ``obj``'s."""
         i = bisect.bisect_left(self._starts, obj.block_addr) - 1
@@ -468,86 +481,81 @@ class AllocatorExtension:
     # ------------------------------------------------------------------
 
     def malloc(self, size: int, callsite: Optional[CallSite]) -> int:
-        if self.mode is ExtensionMode.OFF:
-            return self.allocator.malloc(size)
+        mode, allocator = self.mode, self.allocator
+        if mode is _OFF:
+            return allocator.malloc(size)
 
         self._charge(self._op_cost())
         decision = self.policy.on_alloc(callsite)
-        if self.patching_disabled and decision.patch_id is not None:
-            decision = AllocDecision.plain()
+        if decision.patch_id is not None and self.patching_disabled:
+            decision = _PLAIN_ALLOC
         sampled = False
         if self.guards is not None and self._guarding():
             guarded = self.guards.promote(decision, self._alloc_seq + 1)
             if guarded is not None:
                 decision, sampled = guarded, True
                 self._sync_sampling_metrics()
-        block_size = decision.pad_pre + size + decision.pad_post
-        block_addr = self.allocator.malloc(block_size)
-        user_addr = block_addr + decision.pad_pre
+        pad_pre, pad_post = decision.pad_pre, decision.pad_post
+        block_addr = allocator.malloc(pad_pre + size + pad_post)
+        user_addr = block_addr + pad_pre
+        fill = decision.fill
 
         if decision.canary_pad:
-            canary_fill(self.mem, block_addr, decision.pad_pre,
+            canary_fill(self.mem, block_addr, pad_pre, self.canary_stats)
+            canary_fill(self.mem, user_addr + size, pad_post,
                         self.canary_stats)
-            canary_fill(self.mem, user_addr + size, decision.pad_post,
-                        self.canary_stats)
-            self._charge(self.costs.fill_cost(
-                decision.pad_pre + decision.pad_post))
-        if decision.fill == "zero":
+            self._charge(self.costs.fill_cost(pad_pre + pad_post))
+        if fill == "zero":
             if size:
                 self.mem.fill(user_addr, 0, size)
             self._charge(self.costs.fill_cost(size))
-        elif decision.fill == "canary":
+        elif fill == "canary":
             canary_fill(self.mem, user_addr, size, self.canary_stats)
             self._charge(self.costs.fill_cost(size))
 
-        self._alloc_seq += 1
-        obj = ObjectInfo(
-            user_addr=user_addr, user_size=size,
-            block_addr=block_addr,
-            block_size=self.allocator.last_usable,
-            pad_pre=decision.pad_pre, pad_post=decision.pad_post,
-            canary_pad=decision.canary_pad, fill=decision.fill,
-            alloc_site=callsite, alloc_seq=self._alloc_seq,
-            patch_id=decision.patch_id, sampled=sampled,
-        )
-        if self.mode is ExtensionMode.VALIDATION and decision.fill == "zero":
+        self._alloc_seq = seq = self._alloc_seq + 1
+        patch_id = decision.patch_id
+        obj = ObjectInfo(user_addr, size, block_addr,
+                         allocator.last_usable, pad_pre, pad_post,
+                         decision.canary_pad, fill, callsite, seq,
+                         patch_id, sampled)
+        if mode is _VALIDATION and fill == "zero":
             obj.written = bytearray(size)
         self._objects[user_addr] = obj
-        self._index_add(obj)
+        bisect.insort(self._starts, block_addr)
+        self._by_start[block_addr] = user_addr
 
         self.metadata_bytes += METADATA_BYTES
         if self.metadata_bytes > self.peak_metadata_bytes:
             self.peak_metadata_bytes = self.metadata_bytes
-        pad = decision.pad_pre + decision.pad_post
+        pad = pad_pre + pad_post
         if pad:
             self.padding_bytes += pad
             if self.padding_bytes > self.peak_padding_bytes:
                 self.peak_padding_bytes = self.padding_bytes
         if self.watch is not None and (pad or obj.written is not None):
             self._watch_update(obj, self.watch.update)
-        if decision.patch_id is not None:
+        if patch_id is not None:
             self.patch_trigger_count += 1
         if self.trace_mm:
             self.mm_trace.append(MMTraceEntry(
-                seq=self._alloc_seq, op="malloc", user_addr=user_addr,
-                size=size, callsite=callsite, patch_id=decision.patch_id,
-                fill=decision.fill))
+                seq, "malloc", user_addr, size, callsite, patch_id,
+                False, fill))
         tm = self._tm
         if tm is not None:
             tm.mallocs.inc()
             tm.alloc_size.observe(size)
             tm.padding_bytes.set(self.padding_bytes)
             tm.metadata_bytes.set(self.metadata_bytes)
-            tm.sync_allocator(self.allocator)
-            if decision.patch_id is not None:
+            tm.sync_allocator(allocator)
+            if patch_id is not None:
                 tm.patch_triggers.inc()
         if self._flight is not None:
             self._flight.record_mm(
                 self.clock.now_ns if self.clock else 0, "malloc",
                 user_addr, size,
-                callsite.innermost[0] if callsite else None,
-                decision.patch_id)
-        if decision.patch_id is not None:
+                callsite.innermost[0] if callsite else None, patch_id)
+        if patch_id is not None:
             self._enforce_patch_memory()
         return user_addr
 
@@ -556,26 +564,26 @@ class AllocatorExtension:
     # ------------------------------------------------------------------
 
     def free(self, user_addr: int, callsite: Optional[CallSite]) -> None:
-        if self.mode is ExtensionMode.OFF:
+        if self.mode is _OFF:
             self.allocator.free(user_addr)
             return
 
         self._charge(self._op_cost())
         obj = self._objects.get(user_addr)
-
-        if obj is None or obj.state is not ObjectState.LIVE:
+        if obj is None or obj.state is not _LIVE:
             self._handle_bad_free(user_addr, callsite, obj)
             return
 
         decision = self.policy.on_free(callsite, user_addr)
-        if self.patching_disabled and decision.patch_id is not None:
-            decision = FreeDecision.plain()
+        if decision.patch_id is not None and self.patching_disabled:
+            decision = _PLAIN_FREE
         if obj.sampled and self._guarding():
             decision = self.guards.on_free(self, obj, callsite, decision)
+        patch_id = decision.patch_id
         obj.free_site = callsite
-        obj.free_patch_id = decision.patch_id
+        obj.free_patch_id = patch_id
         self._alloc_seq += 1
-        if decision.patch_id is not None:
+        if patch_id is not None:
             self.patch_trigger_count += 1
 
         if decision.delay:
@@ -589,30 +597,28 @@ class AllocatorExtension:
                 # Before the add, which may evict the object at once.
                 self._watch_update(obj, self.watch.update)
             self.quarantine.add(user_addr, obj.user_size, callsite,
-                                decision.canary_fill, decision.patch_id)
+                                decision.canary_fill, patch_id)
         else:
             self._really_free(obj)
 
         if self.trace_mm:
             self.mm_trace.append(MMTraceEntry(
-                seq=self._alloc_seq, op="free", user_addr=user_addr,
-                size=obj.user_size, callsite=callsite,
-                patch_id=decision.patch_id, delayed=decision.delay))
+                self._alloc_seq, "free", user_addr, obj.user_size,
+                callsite, patch_id, decision.delay))
         tm = self._tm
         if tm is not None:
             tm.frees.inc()
             tm.padding_bytes.set(self.padding_bytes)
             tm.metadata_bytes.set(self.metadata_bytes)
             tm.sync_allocator(self.allocator)
-            if decision.patch_id is not None:
+            if patch_id is not None:
                 tm.patch_triggers.inc()
         if self._flight is not None:
             self._flight.record_mm(
                 self.clock.now_ns if self.clock else 0, "free",
                 user_addr, obj.user_size,
-                callsite.innermost[0] if callsite else None,
-                decision.patch_id)
-        if decision.patch_id is not None:
+                callsite.innermost[0] if callsite else None, patch_id)
+        if patch_id is not None:
             self._enforce_patch_memory()
 
     def _handle_bad_free(self, user_addr: int,
@@ -660,7 +666,11 @@ class AllocatorExtension:
                 or obj.state is ObjectState.QUARANTINED):
             self._watch_update(obj, self.watch.difference_update)
         obj.state = ObjectState.FREED
-        self._index_remove(obj)
+        starts, block_addr = self._starts, obj.block_addr
+        i = bisect.bisect_left(starts, block_addr)
+        if i < len(starts) and starts[i] == block_addr:
+            starts.pop(i)
+        self._by_start.pop(block_addr, None)
         self.metadata_bytes -= METADATA_BYTES
         if pad:
             self.padding_bytes -= pad

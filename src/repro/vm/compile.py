@@ -59,7 +59,9 @@ Superinstruction fusion, applied during emission:
 * **loop closing** -- a block whose terminator branches back to its own
   entry compiles into a Python ``while`` loop, so hot loop iterations
   never return to the dispatch loop at all (the per-iteration budget
-  check keeps ``stop_at`` exact);
+  check keeps ``stop_at`` exact).  Its prologue computes what the
+  iterations share: the budget bound, the heap length when the body
+  holds no MALLOC, and the sim-time per iteration;
 * **slot promotion** -- every block holds each slot it reads or
   writes in a Python local (``s<N>``), computes on those locals, and
   stores the slots it writes back to ``frame.locals`` at each exit.
@@ -116,6 +118,10 @@ STEP = 4          # budget smaller than block: the run loop steps it
 MAX_BLOCK = 2048
 
 _MASK = "0xFFFFFFFFFFFFFFFF"
+
+#: A closed loop's budget bound when the run has no stop: no
+#: instruction count reaches it.
+_NO_LIMIT = 1 << 62
 
 #: Ops that end a block's straight-line emission (JMP is *followed*,
 #: not listed: jump threading).
@@ -232,6 +238,15 @@ class _Emitter:
         self.needs: set = set()
         self.dirty: set = set()     # slots with a deferred literal
         self.stats = cf.stats
+        #: A closed loop: per-iteration bookkeeping moves to the
+        #: prologue (see :meth:`CompiledFunction._assemble`).
+        self.loop = False
+        #: The heap length a bounds check compares against: a prologue
+        #: local in a loop that cannot ``sbrk``.
+        self.mlen = "len(mbuf)"
+        #: Instructions a loop charges per iteration at its one settle,
+        #: as the prologue constant ``_pdk = pd_step * instr_ns``.
+        self.pd_step = 0
 
     # -- operand helpers ------------------------------------------------
 
@@ -331,7 +346,10 @@ class _Emitter:
         (emitted once per exit path / loop backedge)."""
         self.emit(f"_ic += {n}")
         mult = (n - 1) - self.last_flush
-        if mult:
+        if mult and self.loop:
+            self.pd_step = mult
+            self.emit("_pd += _pdk")
+        elif mult:
             self.emit(f"_pd += {mult} * instr_ns")
 
     def sync(self, indent: str = "") -> None:
@@ -442,6 +460,11 @@ class CompiledFunction:
             # slots back, so a closed loop loads all of them up front.
             stats.closed_loops += 1
             em.loaded |= read | written
+            em.loop = True
+            # MALLOC is the only op that can sbrk: without one, the
+            # heap length holds for the whole call.
+            if all(code[bpc][0] != isa.MALLOC for bpc in body):
+                em.mlen = "_mlen"
 
         for index, bpc in enumerate(body):
             self._emit_instr(em, bpc, index, code[bpc])
@@ -713,7 +736,7 @@ class CompiledFunction:
         # raises the byte-identical SegmentationFault.
         o = em.fresh_temp()
         em.emit(f"{o} = {a} - mbase")
-        em.emit(f"if {o} < 0 or {o} + {size} > len(mbuf):")
+        em.emit(f"if {o} < 0 or {o} + {size} > {em.mlen}:")
         em.emit(f"    mread({a}, {size!r})")
         if size == 1:
             value = f"mbuf[{o}]"
@@ -735,7 +758,7 @@ class CompiledFunction:
         em.emit(f"{o} = {a} - mbase")
         lit = em.read_value(val_slot)
         value = repr(lit) if lit is not None else em.read(val_slot)
-        em.emit(f"if {o} < 0 or {o} + {size} > len(mbuf):")
+        em.emit(f"if {o} < 0 or {o} + {size} > {em.mlen}:")
         em.emit(f"    mwrite({a}, {size!r}, {value})")
         mask = (1 << (8 * size)) - 1
         word = (repr(lit & mask) if lit is not None
@@ -928,10 +951,20 @@ class CompiledFunction:
         indent = "    "
         src = list(pre)
         if loop_form:
+            # Per-call bookkeeping a loop's iterations share: the budget
+            # bound, the heap length and the sim-time per iteration.
+            src.append(f"    _lim = {_NO_LIMIT} if limit is None "
+                       f"else limit - {n_instrs}")
+            if "mem" in needs and em.mlen == "_mlen":
+                src.append("    _mlen = len(mbuf)")
+            if em.pd_step:
+                src.append(f"    _pdk = {em.pd_step} * instr_ns")
             src.append("    while True:")
             indent += "    "
-        src.append(f"{indent}if limit is not None and "
-                   f"_ic + {n_instrs} > limit:")
+            src.append(f"{indent}if _ic > _lim:")
+        else:
+            src.append(f"{indent}if limit is not None and "
+                       f"_ic + {n_instrs} > limit:")
         src.append(f"{indent}    vm.instr_count = _ic")
         src.append(f"{indent}    vm._pending = _pd")
         if "counters" in needs:

@@ -681,6 +681,69 @@ def test_promoted_loop_exits_match_reference(reason):
             assert chunked == whole
 
 
+def lean_loop_program(size):
+    """A closed loop with no MALLOC, so its prologue holds the heap
+    length: each iteration stores a ``size``-byte word at ``p + off +
+    i`` and loads it back, for i from 0 to 3.  The MALLOC maps three
+    pages, and ``p`` is 16 bytes into them.  With ``off`` = 8172 the
+    words cross from page 1 into page 2, which nothing else dirties;
+    with ``off`` = 12271 - ``size`` the third iteration's STORE ends
+    one byte past the mapping."""
+    pb = ProgramBuilder()
+    fb = pb.function("main")
+    fb.const("sz", 12000)
+    fb.malloc("p", "sz")
+    fb.input("off")
+    fb.binop("+", "p", "p", "off")
+    fb.const("i", 0)
+    fb.const("n", 4)
+    fb.const("acc", 0)
+    fb.label("top")
+    fb.binop("+", "a", "p", "i")
+    fb.store("a", "i", 0, size)
+    fb.load("v", "a", 0, size)
+    fb.binop("+", "acc", "acc", "v")
+    fb.addi("i", "i", 1)
+    fb.binop("<", "t", "i", "n")
+    fb.jnz("t", "top")
+    fb.output("acc")
+    fb.halt()
+    pb.add(fb)
+    return pb.build()
+
+
+@pytest.mark.parametrize("size", (1, 2, 4, 8))
+@pytest.mark.parametrize("reason", ("halt", "fault"))
+def test_lean_loop_matches_reference(size, reason):
+    """A loop that holds the heap length, its budget bound and its
+    sim-time per iteration in the prologue leaves the reference's frame,
+    heap, dirty pages and counters at the halt, at the fault and at
+    every budget stop."""
+    vmc.clear_cache()
+    program = lean_loop_program(size)
+    tokens = (8172 if reason == "halt" else 12271 - size,)
+    m = machine_for(program, tokens)
+    assert m.run().reason.value == reason
+    if reason == "halt":
+        assert (size > 1) == (2 in m.mem.dirty_pages)
+    else:
+        assert m.fault.address == m.mem.brk - size + 1
+    cf = vmc.compiled_for(program).functions["main"]
+    (entry, src), = [(pc, src) for pc, src in cf.sources.items()
+                     if "while True:" in src]
+    assert "_mlen = len(mbuf)" in src and "len(mbuf):" not in src
+    body = len(cf.block_plan(entry)[0])
+    for trace in (False, True):
+        whole, reasons = run_differential(program, tokens, trace=trace)
+        assert reasons[-1].value == reason
+        for chunks in range(1, 2 * body + 1):
+            chunked, reasons = run_differential(program, tokens,
+                                                trace=trace,
+                                                chunks=chunks)
+            assert reasons[-1].value == reason
+            assert chunked == whole
+
+
 def straight_line_exit_program():
     """One straight-line block, and the slots of three of its locals:
     ``e`` is assigned before anything can leave the block, ``a`` is
@@ -774,9 +837,10 @@ def test_app_sources_use_struct_access_and_promoted_slots(app):
             assert "from_bytes" not in src and "to_bytes" not in src
             lines = [line.strip() for line in src.splitlines()]
             # frame.locals is read only by the prologue's slot loads
-            # and stored to only by the exits' spills.
-            body = next(i for i, line in enumerate(lines)
-                        if line.startswith("if limit is not None"))
+            # and stored to only by the exits' spills.  The budget
+            # stop, the first code after the prologue in both block
+            # forms, opens with this line.
+            body = lines.index("vm.instr_count = _ic")
             for i, line in enumerate(lines):
                 if "loc[" in line and not _SPILL.fullmatch(line):
                     assert i < body and _LOAD.fullmatch(line), line
