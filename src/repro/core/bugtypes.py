@@ -34,11 +34,6 @@ class BugType(Enum):
         return "free"
 
     @property
-    def manifestation(self) -> str:
-        """How the exposing change makes this bug visible."""
-        return _MANIFESTATION[self]
-
-    @property
     def identified_directly(self) -> bool:
         """True when the bug-triggering objects can be read straight
         out of the manifestation evidence (canary corruption, free
@@ -51,14 +46,6 @@ class BugType(Enum):
     def patch_description(self) -> str:
         return _PATCH_DESCRIPTION[self]
 
-
-_MANIFESTATION = {
-    BugType.BUFFER_OVERFLOW: "canary corruption in padding",
-    BugType.DANGLING_READ: "failure (read of canary-filled freed object)",
-    BugType.DANGLING_WRITE: "canary corruption in delay-freed object",
-    BugType.DOUBLE_FREE: "freed twice (deallocation parameter check)",
-    BugType.UNINIT_READ: "failure (read of canary-filled new object)",
-}
 
 _PATCH_DESCRIPTION = {
     BugType.BUFFER_OVERFLOW: "add padding",

@@ -27,7 +27,13 @@ from repro.core.changes import (
     preventive_change,
 )
 from repro.errors import PatchError
-from repro.heap.extension import AllocDecision, ChangePolicy, FreeDecision
+from repro.heap.extension import (
+    PLAIN_ALLOC,
+    PLAIN_FREE,
+    AllocDecision,
+    ChangePolicy,
+    FreeDecision,
+)
 from repro.util.callsite import CallSite
 
 
@@ -231,12 +237,13 @@ class PatchPolicy(ChangePolicy):
         an already-patched bug must not re-enter the pipeline."""
         return self._pool.find(bug_type, point) is not None
 
+    # A miss returns the shared plain decision.  An empty table skips
+    # the lookup, whose call-site hash is a Python call.
+
     def on_alloc(self, callsite: Optional[CallSite]) -> AllocDecision:
-        if callsite is None:
-            return AllocDecision.plain()
-        patch = self._alloc.get(callsite)
+        patch = self._alloc.get(callsite) if self._alloc else None
         if patch is None:
-            return AllocDecision.plain()
+            return PLAIN_ALLOC
         patch.trigger_count += 1
         key = patch.key
         self.local_triggers[key] = self.local_triggers.get(key, 0) + 1
@@ -246,11 +253,9 @@ class PatchPolicy(ChangePolicy):
 
     def on_free(self, callsite: Optional[CallSite],
                 user_addr: int) -> FreeDecision:
-        if callsite is None:
-            return FreeDecision.plain()
-        patch = self._free.get(callsite)
+        patch = self._free.get(callsite) if self._free else None
         if patch is None:
-            return FreeDecision.plain()
+            return PLAIN_FREE
         patch.trigger_count += 1
         key = patch.key
         self.local_triggers[key] = self.local_triggers.get(key, 0) + 1

@@ -93,12 +93,6 @@ class ValidationResult:
     #: simulated clock) -- what the parallel benchmark measures.
     wall_s: float = 0.0
 
-    @property
-    def illegal_access_count(self) -> int:
-        if not self.iterations:
-            return 0
-        return len(self.iterations[0].illegal_accesses)
-
 
 class ValidationEngine:
     """Validates the patches generated for one diagnosis."""

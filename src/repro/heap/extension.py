@@ -72,11 +72,6 @@ class AllocDecision:
     fill: Optional[str] = None      # None | "zero" | "canary"
     patch_id: Optional[int] = None  # patch that caused this, if any
 
-    @classmethod
-    def plain(cls) -> "AllocDecision":
-        """The no-change decision: one shared instance, never mutated."""
-        return _PLAIN_ALLOC
-
 
 @dataclass
 class FreeDecision:
@@ -87,14 +82,10 @@ class FreeDecision:
     check_param: bool = False       # swallow frees of non-live pointers
     patch_id: Optional[int] = None
 
-    @classmethod
-    def plain(cls) -> "FreeDecision":
-        """The no-change decision: one shared instance, never mutated."""
-        return _PLAIN_FREE
 
-
-_PLAIN_ALLOC = AllocDecision()
-_PLAIN_FREE = FreeDecision()
+#: The no-change decisions: one shared instance each, never mutated.
+PLAIN_ALLOC = AllocDecision()
+PLAIN_FREE = FreeDecision()
 
 _OFF, _VALIDATION = ExtensionMode.OFF, ExtensionMode.VALIDATION
 _LIVE = ObjectState.LIVE
@@ -109,11 +100,11 @@ class ChangePolicy:
     """
 
     def on_alloc(self, callsite: Optional[CallSite]) -> AllocDecision:
-        return AllocDecision.plain()
+        return PLAIN_ALLOC
 
     def on_free(self, callsite: Optional[CallSite],
                 user_addr: int) -> FreeDecision:
-        return FreeDecision.plain()
+        return PLAIN_FREE
 
 
 class ObjectInfo:
@@ -485,10 +476,12 @@ class AllocatorExtension:
         if mode is _OFF:
             return allocator.malloc(size)
 
-        self._charge(self._op_cost())
+        clock = self.clock
+        if clock is not None:
+            clock.charge(self._op_cost())
         decision = self.policy.on_alloc(callsite)
         if decision.patch_id is not None and self.patching_disabled:
-            decision = _PLAIN_ALLOC
+            decision = PLAIN_ALLOC
         sampled = False
         if self.guards is not None and self._guarding():
             guarded = self.guards.promote(decision, self._alloc_seq + 1)
@@ -568,7 +561,9 @@ class AllocatorExtension:
             self.allocator.free(user_addr)
             return
 
-        self._charge(self._op_cost())
+        clock = self.clock
+        if clock is not None:
+            clock.charge(self._op_cost())
         obj = self._objects.get(user_addr)
         if obj is None or obj.state is not _LIVE:
             self._handle_bad_free(user_addr, callsite, obj)
@@ -576,7 +571,7 @@ class AllocatorExtension:
 
         decision = self.policy.on_free(callsite, user_addr)
         if decision.patch_id is not None and self.patching_disabled:
-            decision = _PLAIN_FREE
+            decision = PLAIN_FREE
         if obj.sampled and self._guarding():
             decision = self.guards.on_free(self, obj, callsite, decision)
         patch_id = decision.patch_id
@@ -659,7 +654,8 @@ class AllocatorExtension:
         self.allocator.free(user_addr)
 
     def _really_free(self, obj: ObjectInfo) -> None:
-        self._check_pad_canaries(obj)
+        if obj.canary_pad:
+            self._check_pad_canaries(obj)
         pad = obj.pad_pre + obj.pad_post
         if self.watch is not None and (
                 pad or obj.written is not None
@@ -728,8 +724,6 @@ class AllocatorExtension:
         return pre, post
 
     def _check_pad_canaries(self, obj: ObjectInfo) -> None:
-        if not obj.canary_pad:
-            return
         pre, post = self.pad_corruption(obj)
         for side, offsets in (("pre", pre), ("post", post)):
             if offsets:

@@ -105,6 +105,11 @@ class CallSite:
 #: the number of distinct call-sites across all loaded programs.
 _INTERNED: Dict[Tuple[Addr, ...], CallSite] = {}
 
+#: ``lookup(frames)``: the interned call-site for a frame tuple already
+#: in the table, else None.  The VM's capture builds the key itself, so
+#: a hit makes no Python call.
+lookup = _INTERNED.get
+
 
 def interned_count() -> int:
     """Testing/benchmark hook: current intern-table size."""

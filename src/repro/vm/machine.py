@@ -32,7 +32,7 @@ from typing import List, Optional
 from repro.errors import SimulatedFault
 from repro.heap.base import Memory
 from repro.heap.extension import AllocatorExtension
-from repro.util.callsite import CallSite
+from repro.util.callsite import CallSite, lookup
 from repro.util.rng import DeterministicRNG
 from repro.util.simclock import CostModel, SimClock
 from repro.vm.compile import STEP, bind_program
@@ -137,14 +137,24 @@ class Machine:
     def current_callsite(self, pc: int) -> CallSite:
         """Multi-level call-site for the instruction at ``pc`` in the
         innermost frame: (this function, pc) plus up to two caller
-        return addresses."""
+        return addresses.
+
+        Builds the intern table's key, the tuple of up to
+        :data:`CallSite.DEPTH` (three) ``(name, pc)`` frames, without a
+        loop and looks it up with no Python call, so only the first
+        capture of a context calls :meth:`CallSite.intern`."""
         frames = self.frames
-        addrs = [(frames[-1].func.name, pc)]
-        for frame in frames[-2::-1]:
-            addrs.append((frame.func.name, frame.pc))
-            if len(addrs) == CallSite.DEPTH:
-                break
-        return CallSite.intern(addrs)
+        here = (frames[-1].func.name, pc)
+        if len(frames) > 2:
+            caller, outer = frames[-2], frames[-3]
+            key = (here, (caller.func.name, caller.pc),
+                   (outer.func.name, outer.pc))
+        elif len(frames) == 2:
+            caller = frames[-2]
+            key = (here, (caller.func.name, caller.pc))
+        else:
+            key = (here,)
+        return lookup(key) or CallSite.intern(key)
 
     # ------------------------------------------------------------------
     # execution

@@ -13,6 +13,11 @@ it.
 in for ``Machine._run_compiled`` on the class: every machine runs it
 there, including those a forked worker builds, since the fork inherits
 the class.  Nothing in ``src/repro`` knows about it.
+
+Its MALLOC and FREE capture call-sites with :func:`reference_callsite`,
+the list-built capture ``Machine.current_callsite`` replaced, so every
+differential test that compares the extension's snapshot (each object's
+allocation and free site) checks the machine's capture as well.
 """
 
 from __future__ import annotations
@@ -26,11 +31,25 @@ from repro.errors import (
     SimulatedFault,
 )
 from repro.heap.extension import ExtensionMode
+from repro.util.callsite import CallSite
 from repro.vm import isa
 from repro.vm.machine import Machine, RunReason, RunResult
 from repro.vm.state import Frame
 
 _MASK64 = (1 << 64) - 1
+
+
+def reference_callsite(machine: Machine, pc: int) -> CallSite:
+    """Multi-level call-site for the instruction at ``pc`` in the
+    innermost frame, built as a list: (this function, pc) plus up to
+    two caller return addresses."""
+    frames = machine.frames
+    addrs = [(frames[-1].func.name, pc)]
+    for frame in frames[-2::-1]:
+        addrs.append((frame.func.name, frame.pc))
+        if len(addrs) == CallSite.DEPTH:
+            break
+    return CallSite.intern(addrs)
 
 
 def run_reference(machine: Machine,
@@ -174,13 +193,13 @@ def run_reference(machine: Machine,
                 clock.charge(pending_ns + machine.costs.alloc_ns)
                 pending_ns = 0
                 site = (None if ext.mode is ExtensionMode.OFF
-                        else machine.current_callsite(pc))
+                        else reference_callsite(machine, pc))
                 loc[instr[1]] = ext.malloc(loc[instr[2]], site)
             elif op == isa.FREE:
                 clock.charge(pending_ns + machine.costs.alloc_ns)
                 pending_ns = 0
                 site = (None if ext.mode is ExtensionMode.OFF
-                        else machine.current_callsite(pc))
+                        else reference_callsite(machine, pc))
                 ext.free(loc[instr[1]], site)
             elif op == isa.MEMSET:
                 addr, val, ln = (loc[instr[1]], loc[instr[2]],

@@ -23,6 +23,8 @@ from repro.heap.extension import (
     ObjectState,
     PAD_POST,
     PAD_PRE,
+    PLAIN_ALLOC,
+    PLAIN_FREE,
 )
 from repro.heap.random_alloc import RandomizedLeaAllocator
 from repro.parallel.tasks import run_task
@@ -37,8 +39,8 @@ class FixedPolicy(ChangePolicy):
     """Returns fixed decisions, recording calls."""
 
     def __init__(self, alloc=None, free=None):
-        self.alloc_decision = alloc or AllocDecision.plain()
-        self.free_decision = free or FreeDecision.plain()
+        self.alloc_decision = alloc or PLAIN_ALLOC
+        self.free_decision = free or PLAIN_FREE
 
     def on_alloc(self, callsite):
         return self.alloc_decision

@@ -42,6 +42,7 @@ from repro.heap.base import Memory
 from repro.heap.extension import (
     PAD_POST,
     PAD_PRE,
+    PLAIN_FREE,
     AllocDecision,
     AllocatorExtension,
     ChangePolicy,
@@ -97,7 +98,7 @@ class SitePolicy(ChangePolicy):
     def on_free(self, callsite, user_addr):
         obj = self.ext.object_at(user_addr)
         if obj is None or (obj.user_size // 8 + self.salt) % 3 == 0:
-            return FreeDecision.plain()
+            return PLAIN_FREE
         return FreeDecision(delay=True, check_param=True,
                             canary_fill=obj.user_size > 64, patch_id=5)
 
