@@ -1,22 +1,23 @@
 """Checkpoint capture scaling: O(dirty pages), not O(heap).
 
-Two shape targets for the incremental (delta/keyframe) checkpointing
-path, each against the seed's full-copy behaviour
-(``incremental=False``):
+Each checkpoint is a page table that shares its clean pages with its
+predecessor's table and copies only the dirty ones.  A checkpoint's
+capture is measured from the tables themselves: the bytes of the
+payloads its table does not share with its predecessor's.  The
+reference is a full heap copy at every checkpoint,
+``len(ck.pages) * PAGE_SIZE``.  Two shape targets:
 
-1. **Proportionality** -- on a fixed 2 MB heap, per-delta capture bytes
-   grow with the touch rate (the dirty-page working set) and stay
-   bounded by ``dirty_pages * PAGE_SIZE``, while full-copy capture is
-   flat at heap size regardless of how little the workload writes.
+1. **Proportionality** -- on a fixed 2 MB heap, per-checkpoint capture
+   bytes grow with the touch rate (the dirty-page working set) and stay
+   bounded by ``dirty_pages * PAGE_SIZE``.
 2. **Reduction** -- on the Figure 6 SPEC-like kernels with small
    working sets (gzip/bzip2: big heaps of large objects, writes
    concentrated on two pages per object), mean capture per checkpoint
-   -- keyframes included -- is at least 5x smaller than a full heap
-   copy.
+   is at least 5x smaller than a full heap copy.
 
 Also runnable as a script: ``python benchmarks/bench_checkpoint_scaling.py``
 writes ``BENCH_checkpoint.json`` next to the repo root so CI tracks the
-perf trajectory from this PR onward.
+perf trajectory.
 """
 
 import dataclasses
@@ -30,14 +31,11 @@ if __name__ == "__main__":  # script mode without PYTHONPATH=src
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.checkpoint.manager import CheckpointManager
+from repro.checkpoint.snapshot import ZERO_PAGE
 from repro.heap.base import PAGE_SIZE
 from repro.process import Process
 from repro.workloads import PROFILES, build_kernel
 from repro.workloads.profiles import Profile
-
-#: Keyframe cadence used here: long enough that steady-state capture is
-#: delta-dominated, short enough that restore chains stay bounded.
-KEYFRAME_EVERY = 16
 
 #: Fixed-heap kernels that only vary the touch rate: 512 x 4 KB objects
 #: (~2 MB mapped), touching 4/16/64 objects per round.
@@ -47,8 +45,8 @@ SCALING_TOUCH_RATES = (4, 16, 64)
 #: mapped heap (large objects, two dirtied pages per touch).
 SMALL_WORKING_SET = ("164.gzip", "256.bzip2")
 
-#: Steady-state length: enough rounds for ~60+ checkpoints so keyframe
-#: amortization is measured, not start-up effects.
+#: Steady-state length: enough rounds for ~60+ checkpoints, so the
+#: steady state is measured, not start-up effects.
 ROUNDS = 200
 
 
@@ -58,27 +56,36 @@ def _scaling_profile(touch: int) -> Profile:
                    compute_per_round=400, rounds=ROUNDS)
 
 
-def _measure(program, incremental: bool) -> dict:
+def _captured_bytes(prev, ck) -> int:
+    """Bytes of ``ck``'s table not shared with ``prev``'s: the pages
+    the capture copied (grown, never-written pages share the zero
+    page)."""
+    old = prev.pages
+    return PAGE_SIZE * sum(
+        1 for idx, payload in enumerate(ck.pages)
+        if (payload is not old[idx] if idx < len(old)
+            else payload is not ZERO_PAGE))
+
+
+def _measure(program) -> dict:
     process = Process(program)
-    manager = CheckpointManager(process, adaptive=False,
-                                incremental=incremental,
-                                keyframe_every=KEYFRAME_EVERY)
+    manager = CheckpointManager(process, adaptive=False)
     t0 = time.perf_counter()
     manager.run()
     wall_s = time.perf_counter() - t0
     cks = list(manager.checkpoints)
-    deltas = [ck for ck in cks if not ck.is_keyframe]
-    stats = manager.stats
+    # every live checkpoint but the oldest, whose predecessor is gone
+    pairs = list(zip(cks, cks[1:]))
     return {
-        "checkpoints": stats.checkpoints_taken,
+        "checkpoints": manager.stats.checkpoints_taken,
         "heap_bytes": process.mem.mapped_bytes,
         "capture_bytes_per_checkpoint":
-            sum(ck.payload_bytes for ck in cks) / len(cks),
-        "delta_capture_bytes":
-            (sum(ck.payload_bytes for ck in deltas) / len(deltas)
-             if deltas else 0.0),
+            sum(_captured_bytes(prev, ck) for prev, ck in pairs)
+            / len(pairs),
+        "full_copy_bytes_per_checkpoint":
+            sum(len(ck.pages) for _, ck in pairs) * PAGE_SIZE / len(pairs),
         "dirty_pages_per_checkpoint":
-            stats.pages_copied_total / stats.checkpoints_taken,
+            sum(ck.cow_pages for _, ck in pairs) / len(pairs),
         "retained_bytes": manager.retained_bytes(),
         "wall_s": wall_s,
     }
@@ -88,29 +95,21 @@ _RESULTS = None
 
 
 def checkpoint_scaling() -> dict:
-    """Measure every subject under both modes (cached)."""
+    """Measure every subject (cached)."""
     global _RESULTS
     if _RESULTS is not None:
         return _RESULTS
     results = {}
     for touch in SCALING_TOUCH_RATES:
         profile = _scaling_profile(touch)
-        program = build_kernel(profile)
-        results[profile.name] = {
-            "kind": "scaling", "touch": touch,
-            "incremental": _measure(program, True),
-            "full": _measure(program, False)}
+        results[profile.name] = dict(kind="scaling", touch=touch,
+                                     **_measure(build_kernel(profile)))
     for name in SMALL_WORKING_SET:
         profile = dataclasses.replace(PROFILES[name], rounds=ROUNDS)
-        program = build_kernel(profile)
-        results[name] = {
-            "kind": "spec",
-            "incremental": _measure(program, True),
-            "full": _measure(program, False)}
+        results[name] = dict(kind="spec", **_measure(build_kernel(profile)))
     for entry in results.values():
-        entry["reduction"] = (
-            entry["full"]["capture_bytes_per_checkpoint"]
-            / entry["incremental"]["capture_bytes_per_checkpoint"])
+        entry["reduction"] = (entry["full_copy_bytes_per_checkpoint"]
+                              / entry["capture_bytes_per_checkpoint"])
     _RESULTS = results
     return results
 
@@ -119,20 +118,14 @@ def test_capture_proportional_to_dirty_pages(once):
     results = once(checkpoint_scaling)
     kernels = [results[f"scaling-touch{t}"] for t in SCALING_TOUCH_RATES]
     for entry in kernels:
-        inc = entry["incremental"]
-        # delta capture is bounded by the dirty working set ...
-        assert inc["delta_capture_bytes"] <= \
-            inc["dirty_pages_per_checkpoint"] * PAGE_SIZE * 1.05
-        # ... while full-copy capture is O(heap) no matter the touch rate
-        assert entry["full"]["capture_bytes_per_checkpoint"] == \
-            entry["full"]["heap_bytes"]
-    deltas = [e["incremental"]["delta_capture_bytes"] for e in kernels]
-    pages = [e["incremental"]["dirty_pages_per_checkpoint"] for e in kernels]
-    assert deltas == sorted(deltas) and pages == sorted(pages)
-    # 16x the touch rate moves delta capture by several x, full by ~0
-    assert deltas[-1] / deltas[0] > 4
-    fulls = [e["full"]["capture_bytes_per_checkpoint"] for e in kernels]
-    assert max(fulls) / min(fulls) < 1.05
+        # capture is bounded by the dirty working set
+        assert entry["capture_bytes_per_checkpoint"] <= \
+            entry["dirty_pages_per_checkpoint"] * PAGE_SIZE
+    captures = [e["capture_bytes_per_checkpoint"] for e in kernels]
+    pages = [e["dirty_pages_per_checkpoint"] for e in kernels]
+    assert captures == sorted(captures) and pages == sorted(pages)
+    # 16x the touch rate moves capture by several x
+    assert captures[-1] / captures[0] > 4
 
 
 def test_small_working_set_reduction_at_least_5x(once):
@@ -142,24 +135,15 @@ def test_small_working_set_reduction_at_least_5x(once):
             (name, results[name]["reduction"])
 
 
-def test_modes_agree_on_checkpoint_schedule(once):
-    results = once(checkpoint_scaling)
-    for name, entry in results.items():
-        inc, full = entry["incremental"], entry["full"]
-        assert inc["checkpoints"] == full["checkpoints"], name
-        assert inc["heap_bytes"] == full["heap_bytes"], name
-
-
 def render(results: dict) -> str:
-    lines = ["subject               ckpts  heap KB  inc KB/ck  full KB/ck"
-             "  reduction"]
+    lines = ["subject               ckpts  heap KB  capture KB/ck"
+             "  full KB/ck  reduction"]
     for name, entry in results.items():
-        inc, full = entry["incremental"], entry["full"]
         lines.append(
-            f"{name:<21} {inc['checkpoints']:>5}"
-            f" {inc['heap_bytes'] / 1024:>8.0f}"
-            f" {inc['capture_bytes_per_checkpoint'] / 1024:>10.1f}"
-            f" {full['capture_bytes_per_checkpoint'] / 1024:>11.1f}"
+            f"{name:<21} {entry['checkpoints']:>5}"
+            f" {entry['heap_bytes'] / 1024:>8.0f}"
+            f" {entry['capture_bytes_per_checkpoint'] / 1024:>14.1f}"
+            f" {entry['full_copy_bytes_per_checkpoint'] / 1024:>11.1f}"
             f" {entry['reduction']:>9.2f}x")
     return "\n".join(lines)
 
@@ -171,7 +155,6 @@ def main(out_path: str = "BENCH_checkpoint.json") -> int:
                 for n in SMALL_WORKING_SET + ("scaling-touch4",))
     payload = {
         "benchmark": "checkpoint_scaling",
-        "keyframe_every": KEYFRAME_EVERY,
         "page_size": PAGE_SIZE,
         "small_working_set_min_reduction": worst,
         "subjects": results,

@@ -220,8 +220,7 @@ def table7_checkpoint_space() -> ExperimentResult:
         result.data[subject.name] = {
             "bytes_per_checkpoint": full.bytes_per_checkpoint,
             "bytes_per_second": full.bytes_per_second,
-            "retained_bytes": full.retained_bytes,
-            "keyframes": full.keyframes}
+            "retained_bytes": full.retained_bytes}
     result.notes.append(
         "space figures are measured retained delta bytes (incremental "
         "checkpointing with page dedupe), not cow_pages * page_size")

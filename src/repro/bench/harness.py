@@ -99,7 +99,6 @@ class OverheadRun:
     bytes_per_checkpoint: float = 0.0
     bytes_per_second: float = 0.0
     checkpoints: int = 0
-    keyframes: int = 0
     #: Real bytes held by the live checkpoint history at run end
     #: (deduped page payloads), not the cow_pages * page_size estimate.
     retained_bytes: int = 0
@@ -154,7 +153,6 @@ def overhead_run(subject: Subject, config: str) -> OverheadRun:
         run.bytes_per_second = stats.bytes_per_second(
             process.costs.instr_ns)
         run.checkpoints = stats.checkpoints_taken
-        run.keyframes = stats.keyframes_taken
         run.retained_bytes = manager.retained_bytes()
     else:
         process.run()

@@ -11,9 +11,9 @@ failures.  Each kind names one injection point:
     raises :class:`~repro.errors.CheckpointError`.
 
 ``checkpoint_corrupt``
-    The next rollback restores from a snapshot whose page payloads were
-    scribbled over -- the restore *succeeds* but the re-execution runs
-    on garbage state (bit rot in the checkpoint store).
+    The next rollback restores from a snapshot with one page scribbled
+    over -- the restore *succeeds* but the re-execution runs on garbage
+    state (bit rot in the checkpoint store).
 
 ``probe_raise``
     The next diagnostic re-execution dies with a :class:`ChaosError`
@@ -91,12 +91,13 @@ class ChaosPlan(FaultPlan):
 
     @staticmethod
     def scribble_checkpoint(checkpoint) -> int:
-        """Overwrite one page payload of ``checkpoint`` with a garbage
-        pattern of the same length (so restore plumbing still works);
-        returns the page index hit, or -1 for an empty snapshot."""
-        if not checkpoint.pages:
+        """Point the middle entry of ``checkpoint``'s page table at a
+        garbage page (so restore plumbing still works); the payload it
+        replaces, which other tables may share, is untouched.  Returns
+        the page index hit, or -1 for an empty snapshot."""
+        pages = checkpoint.pages
+        if not pages:
             return -1
-        index = sorted(checkpoint.pages)[len(checkpoint.pages) // 2]
-        payload = checkpoint.pages[index]
-        checkpoint.pages[index] = b"\xa5" * len(payload)
+        index = len(pages) // 2
+        pages[index] = b"\xa5" * len(pages[index])
         return index

@@ -5,15 +5,15 @@ calibration that is :data:`DEFAULT_INTERVAL` instructions), takes a
 checkpoint at each boundary, and keeps the most recent ``max_keep``
 checkpoints for rollback.
 
-Checkpoints are **incremental**: each one stores only the pages dirtied
-since the previous one (the COW page set Flashback would have copied),
-with a full keyframe every ``keyframe_every`` checkpoints to bound the
-restore chain.  A page cache dedupes identical page payloads across
-checkpoints, so ``space_bytes`` per checkpoint measures real retained
-bytes.  Rollback is in-place: the manager tracks which checkpoint the
-heap currently derives from, computes the pages that can differ from
-the target (per-interval dirty sets plus writes since the last
-boundary), and rewrites only those -- O(pages changed), not O(heap).
+Each checkpoint is a page table that shares every page the process has
+not written since the previous checkpoint and copies only the dirty
+ones (the COW page set Flashback would have copied).  A page cache
+dedupes identical page payloads across checkpoints, so ``space_bytes``
+per checkpoint measures real retained bytes.  Rollback is in-place: the
+manager tracks which checkpoint the heap currently derives from,
+computes the pages that can differ from the target (per-interval dirty
+sets plus writes since the last boundary), and rewrites only those --
+O(pages changed), not O(heap).
 
 Adaptive interval (paper Section 3): the manager monitors the COW page
 rate.  If estimated checkpointing overhead (page-copy time over
@@ -26,11 +26,12 @@ data in memory" (Table 7 discussion).
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
-from repro.checkpoint.snapshot import Checkpoint, pages_between
+from repro.checkpoint.snapshot import ZERO_PAGE, Checkpoint, pages_between
 from repro.errors import CheckpointError, SampledGuardFault
 from repro.heap.base import PAGE_SIZE
 from repro.process import Process
@@ -40,8 +41,9 @@ from repro.vm.machine import RunReason, RunResult
 #: 200 ms at the calibration of 10 us per instruction.
 DEFAULT_INTERVAL = 20_000
 
-#: Full keyframe cadence: one keyframe, then K-1 deltas.
-DEFAULT_KEYFRAME_EVERY = 8
+#: Every this many checkpoints the page cache drops the payloads no
+#: live table holds, so it keeps at most a few intervals of dead pages.
+PRUNE_EVERY = 8
 
 
 @dataclass
@@ -49,52 +51,39 @@ class CheckpointStats:
     """Aggregate checkpointing statistics (feeds Table 7)."""
 
     checkpoints_taken: int = 0
-    keyframes_taken: int = 0
     rollbacks: int = 0
     full_restores: int = 0
     pages_copied_total: int = 0
     pages_restored_total: int = 0
-    #: Deduped delta payload bytes actually retained per checkpoint.
+    #: Deduped payload bytes the checkpoints newly retained.
     delta_bytes_total: int = 0
-    per_checkpoint_pages: List[int] = field(default_factory=list)
-    per_checkpoint_bytes: List[int] = field(default_factory=list)
-    per_checkpoint_interval: List[int] = field(default_factory=list)
+    #: Checkpoint intervals summed, in instructions.
+    interval_instrs_total: int = 0
 
     @property
     def bytes_per_checkpoint(self) -> float:
-        """Average space retained per checkpoint.  Uses measured delta
-        payload bytes when available; falls back to the page-count
-        estimate for hand-built stats."""
-        if self.per_checkpoint_bytes:
-            return (sum(self.per_checkpoint_bytes)
-                    / len(self.per_checkpoint_bytes))
-        if not self.per_checkpoint_pages:
+        """Average space retained per checkpoint."""
+        if not self.checkpoints_taken:
             return 0.0
-        return (sum(self.per_checkpoint_pages)
-                / len(self.per_checkpoint_pages) * PAGE_SIZE)
+        return self.delta_bytes_total / self.checkpoints_taken
 
     def bytes_per_second(self, instr_ns: int) -> float:
         """Average checkpoint traffic per simulated second."""
-        if self.per_checkpoint_bytes:
-            total_bytes: float = sum(self.per_checkpoint_bytes)
-        else:
-            total_bytes = self.pages_copied_total * PAGE_SIZE
-        total_ns = sum(self.per_checkpoint_interval) * instr_ns
+        total_ns = self.interval_instrs_total * instr_ns
         if total_ns == 0:
             return 0.0
-        return total_bytes / (total_ns / 1e9)
+        return self.delta_bytes_total / (total_ns / 1e9)
 
 
 class _CheckpointInstruments:
     """Registry instruments mirroring :class:`CheckpointStats`."""
 
-    __slots__ = ("captures", "keyframes", "pages_copied", "delta_bytes",
+    __slots__ = ("captures", "pages_copied", "delta_bytes",
                  "dirty_pages", "rollbacks", "pages_restored",
                  "full_restores", "interval")
 
     def __init__(self, registry):
         self.captures = registry.counter("checkpoint.captures")
-        self.keyframes = registry.counter("checkpoint.keyframes")
         self.pages_copied = registry.counter("checkpoint.pages_copied")
         self.delta_bytes = registry.counter("checkpoint.delta_bytes")
         self.dirty_pages = registry.histogram("checkpoint.dirty_pages")
@@ -114,12 +103,8 @@ class CheckpointManager:
                  overhead_target: float = 0.05,
                  max_interval: int = 20 * DEFAULT_INTERVAL,
                  events: Optional[EventLog] = None,
-                 incremental: bool = True,
-                 keyframe_every: int = DEFAULT_KEYFRAME_EVERY,
                  telemetry=None,
                  chaos=None):
-        if keyframe_every < 1:
-            raise ValueError("keyframe_every must be >= 1")
         self.process = process
         self.base_interval = interval
         self.interval = interval
@@ -128,15 +113,9 @@ class CheckpointManager:
         self.overhead_target = overhead_target
         self.max_interval = max_interval
         self.events = events if events is not None else EventLog()
-        #: incremental=False reproduces the seed's full-copy behaviour
-        #: (every checkpoint a keyframe, every rollback a full
-        #: rebuild); kept for A/B benchmarks and ablations.
-        self.incremental = incremental
-        self.keyframe_every = keyframe_every if incremental else 1
         self.checkpoints: Deque[Checkpoint] = deque(maxlen=max_keep)
         self.stats = CheckpointStats()
         self._next_index = 0
-        self._since_keyframe = 0
         #: The checkpoint the heap bytes currently derive from (via the
         #: tracked dirty set); None until the first checkpoint or after
         #: an untracked external restore.
@@ -156,6 +135,8 @@ class CheckpointManager:
         #: Optional :class:`~repro.chaos.ChaosPlan`; consulted only at
         #: rollback time, never on the instruction path.
         self.chaos = chaos
+        #: Checkpoints whose table chaos scribbled.
+        self._scribbled: weakref.WeakSet = weakref.WeakSet()
 
     # ------------------------------------------------------------------
 
@@ -172,110 +153,82 @@ class CheckpointManager:
         dirty = mem.dirty_pages
         cow_pages = len(dirty)
         costs = process.costs
-        # The simulated COW cost is the dirty pages either way: a
-        # keyframe consolidates pages that are already resident, it
-        # does not re-fault clean ones.
         process.clock.charge(costs.checkpoint_base_ns
                              + cow_pages * costs.page_copy_ns)
-        keyframe = (not self.incremental
-                    or self._since_keyframe % self.keyframe_every == 0
-                    or not self._heap_in_sync())
-        if keyframe:
-            pages = mem.copy_pages(range(mem.page_count))
-            parent = None
+        count = mem.page_count
+        if self._heap_in_sync():
+            # clean pages are the predecessor's; pages grown since and
+            # never written are zero.
+            prev = self._position
+            pages = list(prev.pages)
+            pages += [ZERO_PAGE] * (count - len(pages))
+            copied = mem.copy_pages(dirty)
         else:
-            pages = mem.copy_pages(dirty)
-            parent = self._position
-        new_bytes = self._intern_pages(pages)
-        delta_bytes = (new_bytes if not keyframe else
-                       sum(len(pages[i]) for i in dirty if i in pages))
+            # no dirty set describes the heap against any checkpoint:
+            # copy it all, and start a new temporal chain.
+            prev = None
+            pages = [ZERO_PAGE] * count
+            copied = mem.copy_pages(range(count))
+        new_bytes = self._intern_pages(pages, copied)
         ck = Checkpoint(self._next_index, process.clock.now_ns,
-                        process.snapshot_meta(), pages, mem.mapped_bytes,
-                        dirty, parent=parent, prev=self._position,
-                        is_keyframe=keyframe, new_bytes=new_bytes)
+                        process.snapshot_meta(), pages, dirty,
+                        prev=prev, space_bytes=new_bytes)
         self._next_index += 1
-        self._since_keyframe = 1 if keyframe else self._since_keyframe + 1
         mem.clear_dirty()
         self._position = ck
         self._mem_version = mem.version
         self.checkpoints.append(ck)
+        if ck.index % PRUNE_EVERY == 0:
+            self._prune_page_cache()
         stats = self.stats
         stats.checkpoints_taken += 1
-        if keyframe:
-            stats.keyframes_taken += 1
-            self._prune_page_cache()
         stats.pages_copied_total += cow_pages
-        stats.delta_bytes_total += delta_bytes
-        stats.per_checkpoint_pages.append(cow_pages)
-        stats.per_checkpoint_bytes.append(delta_bytes)
-        stats.per_checkpoint_interval.append(self.interval)
+        stats.delta_bytes_total += new_bytes
+        stats.interval_instrs_total += self.interval
         tm = self._tm
         if tm is not None:
             tm.captures.inc()
-            if keyframe:
-                tm.keyframes.inc()
             tm.pages_copied.inc(cow_pages)
-            tm.delta_bytes.inc(delta_bytes)
+            tm.delta_bytes.inc(new_bytes)
             tm.dirty_pages.observe(cow_pages)
             tm.interval.set(self.interval)
         self.events.emit(process.clock.now_ns, "checkpoint",
                          index=ck.index, instr=ck.instr_count,
                          cow_pages=cow_pages, interval=self.interval,
-                         keyframe=keyframe, space_bytes=ck.space_bytes)
+                         space_bytes=new_bytes)
         if self.adaptive:
             self._adapt(cow_pages)
         return ck
 
-    def _intern_pages(self, pages: Dict[int, bytes]) -> int:
-        """Dedupe page payloads through the manager-wide cache; returns
-        the number of bytes this checkpoint newly retained."""
+    def _intern_pages(self, pages: List[bytes],
+                      copied: Dict[int, bytes]) -> int:
+        """Enter the ``copied`` pages into the table ``pages``, deduped
+        through the manager-wide cache; returns the number of bytes
+        this checkpoint newly retained."""
         cache = self._page_cache
         new_bytes = 0
-        for idx, payload in pages.items():
+        for idx, payload in copied.items():
             cached = cache.get(payload)
             if cached is None:
-                cache[payload] = payload
-                new_bytes += len(payload)
-            else:
-                pages[idx] = cached
+                cache[payload] = cached = payload
+                new_bytes += PAGE_SIZE
+            pages[idx] = cached
         return new_bytes
 
     def _prune_page_cache(self) -> None:
-        """Drop cache entries no live checkpoint references (runs at
-        keyframe boundaries, so its cost is amortized)."""
-        live: Dict[bytes, bytes] = {}
-        seen = set()
-        stack = list(self.checkpoints)
-        while stack:
-            ck = stack.pop()
-            if id(ck) in seen:
-                continue
-            seen.add(id(ck))
-            for payload in ck.pages.values():
-                live[payload] = payload
-            if ck.parent is not None:
-                stack.append(ck.parent)
-        self._page_cache = live
+        """Drop cache entries no live checkpoint references."""
+        self._page_cache = {payload: payload
+                            for ck in self.checkpoints
+                            for payload in ck.pages
+                            if payload is not ZERO_PAGE}
 
     def retained_bytes(self) -> int:
-        """Real bytes held by all reachable checkpoint payloads, with
-        shared (deduped) payloads counted once."""
-        seen_payloads = set()
-        seen_cks = set()
-        total = 0
-        stack = list(self.checkpoints)
-        while stack:
-            ck = stack.pop()
-            if id(ck) in seen_cks:
-                continue
-            seen_cks.add(id(ck))
-            for payload in ck.pages.values():
-                if id(payload) not in seen_payloads:
-                    seen_payloads.add(id(payload))
-                    total += len(payload)
-            if ck.parent is not None:
-                stack.append(ck.parent)
-        return total
+        """Real bytes held by the live page tables, with shared
+        (deduped) payloads counted once and the zero page not at all."""
+        live = {id(payload) for ck in self.checkpoints
+                for payload in ck.pages}
+        live.discard(id(ZERO_PAGE))
+        return len(live) * PAGE_SIZE
 
     def _adapt(self, cow_pages: int) -> None:
         """Grow the interval when COW traffic makes overhead too high,
@@ -369,8 +322,8 @@ class CheckpointManager:
         When the heap still derives from a known checkpoint, only the
         pages that can differ from the target (per-interval dirty sets
         between the two, plus writes since the last boundary) are
-        rewritten; otherwise the full state is materialized from the
-        delta chain.
+        rewritten; otherwise the full state is materialized from its
+        page table.
         """
         process = self.process
         mem = process.mem
@@ -379,7 +332,7 @@ class CheckpointManager:
         pages_restored = self._rollback_in_place(checkpoint)
         if pages_restored is None:
             process.restore(checkpoint.materialize())
-            pages_restored = checkpoint.mapped_bytes // PAGE_SIZE
+            pages_restored = len(checkpoint.pages)
             self.stats.full_restores += 1
             if self._tm is not None:
                 self._tm.full_restores.inc()
@@ -387,7 +340,11 @@ class CheckpointManager:
         process.clock.charge(costs.restore_base_ns
                              + pages_restored * costs.page_restore_ns)
         mem.clear_dirty()
-        self._position = checkpoint
+        # a scribbled table differs from its neighbours at a page no
+        # dirty set records, so a heap restored from one is as untracked
+        # as after an external restore.
+        self._position = (None if checkpoint in self._scribbled
+                          else checkpoint)
         self._mem_version = mem.version
         self.stats.rollbacks += 1
         self.stats.pages_restored_total += pages_restored
@@ -402,7 +359,7 @@ class CheckpointManager:
     def _inject_rollback_faults(self, checkpoint: Checkpoint) -> None:
         """Armed chaos faults at the restore boundary (DESIGN.md §10):
         a missing snapshot aborts the rollback; a corrupt one restores
-        scribbled pages and lets the re-execution run on garbage."""
+        a scribbled page and lets the re-execution run on garbage."""
         if self.chaos.take("checkpoint_missing"):
             self.events.emit(self.process.clock.now_ns,
                              "chaos.checkpoint_missing",
@@ -412,6 +369,7 @@ class CheckpointManager:
                 f"(injected fault)")
         if self.chaos.take("checkpoint_corrupt"):
             page = self.chaos.scribble_checkpoint(checkpoint)
+            self._scribbled.add(checkpoint)
             # Force the full-restore path so the scribbled payload is
             # guaranteed to reach the heap (the in-place diff might not
             # cover it).
@@ -423,14 +381,15 @@ class CheckpointManager:
     def _rollback_in_place(self, checkpoint: Checkpoint) -> Optional[int]:
         """Try the O(pages changed) restore path; returns the number of
         pages rewritten, or None when a full restore is required."""
-        if not self.incremental or not self._heap_in_sync():
+        if not self._heap_in_sync():
             return None
         diff = pages_between(self._position, checkpoint)
         if diff is None:
             return None
         mem = self.process.mem
-        limit = checkpoint.mapped_bytes // PAGE_SIZE
-        payloads = {idx: checkpoint.resolve_page(idx)
+        table = checkpoint.pages
+        limit = len(table)
+        payloads = {idx: table[idx]
                     for idx in (diff | mem.dirty_pages) if idx < limit}
         mem.load_pages(checkpoint.mapped_bytes, payloads,
                        dirty=checkpoint.dirty)

@@ -1,151 +1,87 @@
-"""Checkpoint objects: incremental (delta/keyframe) heap snapshots.
+"""Checkpoint objects: heap snapshots as shared page tables.
 
-The paper's Flashback substrate copies only the pages a process dirtied
-in each interval.  A :class:`Checkpoint` mirrors that: it stores the
-*delta* -- copies of the pages dirtied since the previous checkpoint,
-keyed by page index -- plus the full machine/allocator/extension state
-(which is metadata-sized, not heap-sized).  Every ``keyframe_every``-th
-checkpoint is a **keyframe** holding every mapped page, which bounds
-the length of the chain a restore has to walk.
+The paper's Flashback substrate checkpoints like ``fork``: a checkpoint
+shares every page the process has not written since the previous one
+and copies only the pages dirtied in the interval.  A
+:class:`Checkpoint` mirrors that with a page table, one payload per
+mapped page: a clean page is the predecessor's payload object, a dirty
+page a fresh copy, a page grown and never written the shared
+:data:`ZERO_PAGE`.  Beside the table it keeps the machine/allocator/
+extension state, which is metadata-sized, not heap-sized.
 
-Two links tie checkpoints together:
-
-* ``parent`` (strong) -- the *content* chain used to resolve page
-  bytes: delta -> delta -> ... -> keyframe.  A keyframe has no parent.
-* ``prev`` (weak) -- the *temporal* predecessor, crossing keyframe
-  boundaries.  :func:`pages_between` walks these to compute which
-  pages can possibly differ between two checkpoints, which is what
-  makes in-place rollback O(pages changed) instead of O(heap).  The
-  reference is weak so dropping old checkpoints actually frees their
-  pages; if the link has died the manager falls back to a full restore.
+The weak ``prev`` link ties a checkpoint to its temporal predecessor.
+:func:`pages_between` walks these links to compute which pages can
+differ between two checkpoints, which is what makes in-place rollback
+O(pages changed) instead of O(heap).  The reference is weak so dropping
+old checkpoints actually frees their pages; if the link has died the
+manager falls back to a full restore.
 
 ``space_bytes`` is the number of *new* payload bytes this checkpoint
 retained after the manager's page-cache deduplication -- real memory
-cost, which is what Table 7 now reports (the seed estimated it as
-``cow_pages * page_size``).
+cost, which is what Table 7 reports.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, FrozenSet, Optional, Set
+from typing import FrozenSet, List, Optional, Set
 
 from repro.heap.base import PAGE_SIZE
 from repro.process import ProcessSnapshot
 
-_ZERO_PAGE = bytes(PAGE_SIZE)
+#: The one payload every grown, never-written page shares.
+ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class Checkpoint:
-    """One in-memory checkpoint (delta or keyframe)."""
+    """One in-memory checkpoint: metadata plus a page table."""
 
     __slots__ = ("index", "time_ns", "instr_count", "meta", "pages",
-                 "mapped_bytes", "dirty", "parent", "_prev", "is_keyframe",
-                 "cow_pages", "payload_bytes", "space_bytes", "__weakref__")
+                 "dirty", "_prev", "cow_pages", "space_bytes",
+                 "__weakref__")
 
     def __init__(self, index: int, time_ns: int, meta: ProcessSnapshot,
-                 pages: Dict[int, bytes], mapped_bytes: int,
-                 dirty: FrozenSet[int],
-                 parent: Optional["Checkpoint"] = None,
+                 pages: List[bytes], dirty: FrozenSet[int],
                  prev: Optional["Checkpoint"] = None,
-                 is_keyframe: bool = False,
-                 new_bytes: Optional[int] = None):
+                 space_bytes: int = 0):
         self.index = index
         self.time_ns = time_ns
         self.instr_count = meta.instr_count
         #: Machine/allocator/extension snapshot with ``memory=None``.
         self.meta = meta
-        #: Page payloads: the dirty pages for a delta, every mapped
-        #: page for a keyframe.  Payloads may be shared across
-        #: checkpoints via the manager's page cache.
+        #: One ``PAGE_SIZE`` payload per mapped page.  Payloads are
+        #: shared with other checkpoints' tables; the list is not.
         self.pages = pages
-        self.mapped_bytes = mapped_bytes
-        #: Pages dirtied since the temporal predecessor (== the delta
-        #: key set for a delta checkpoint; a keyframe stores more
-        #: pages than it dirtied).
+        #: Pages dirtied since the temporal predecessor.
         self.dirty = dirty
-        self.parent = parent
         self._prev = weakref.ref(prev) if prev is not None else None
-        self.is_keyframe = is_keyframe
         self.cow_pages = len(dirty)
-        self.payload_bytes = sum(map(len, pages.values()))
-        self.space_bytes = (new_bytes if new_bytes is not None
-                            else self.payload_bytes)
+        self.space_bytes = space_bytes
 
-    # ------------------------------------------------------------------
-    # chain access
-    # ------------------------------------------------------------------
+    @property
+    def mapped_bytes(self) -> int:
+        return len(self.pages) * PAGE_SIZE
 
     @property
     def prev(self) -> Optional["Checkpoint"]:
         """Temporal predecessor, or None if it was dropped."""
         return self._prev() if self._prev is not None else None
 
-    @property
-    def chain_length(self) -> int:
-        """Content-chain links from here to the nearest keyframe."""
-        length, node = 0, self
-        while not node.is_keyframe and node.parent is not None:
-            length += 1
-            node = node.parent
-        return length
-
-    def resolve_page(self, idx: int) -> bytes:
-        """The contents of page ``idx`` at this checkpoint: the newest
-        delta in the content chain that captured it wins; pages grown
-        after the keyframe and never written are zero."""
-        node: Optional[Checkpoint] = self
-        while node is not None:
-            payload = node.pages.get(idx)
-            if payload is not None:
-                return payload
-            if node.is_keyframe:
-                break
-            node = node.parent
-        return _ZERO_PAGE
-
-    # ------------------------------------------------------------------
-    # materialization
-    # ------------------------------------------------------------------
-
     def materialize(self) -> ProcessSnapshot:
-        """Reconstruct the full-state :class:`ProcessSnapshot` this
-        checkpoint denotes by overlaying the delta chain onto its
-        keyframe.  Costs O(heap) -- use the manager's in-place rollback
+        """The full-state :class:`ProcessSnapshot` this checkpoint
+        denotes.  Costs O(heap) -- use the manager's in-place rollback
         for the common path; this exists for clones (validation) and
         cross-process restores."""
-        buf = bytearray(self.mapped_bytes)
-        needed: Set[int] = set(range(self.mapped_bytes // PAGE_SIZE))
-        node: Optional[Checkpoint] = self
-        while node is not None and needed:
-            hit = needed.intersection(node.pages)
-            for idx in hit:
-                off = idx * PAGE_SIZE
-                payload = node.pages[idx]
-                buf[off:off + len(payload)] = payload
-            needed -= hit
-            if node.is_keyframe:
-                break
-            node = node.parent
-        # pages never captured anywhere were grown after the keyframe
-        # and never written -> already zero in ``buf``.
         meta = self.meta
         return ProcessSnapshot(
             machine=meta.machine,
-            memory=(bytes(buf), self.dirty),
+            memory=(b"".join(self.pages), self.dirty),
             allocator=meta.allocator,
             extension=meta.extension,
             randomized=meta.randomized)
 
-    @property
-    def state(self) -> ProcessSnapshot:
-        """Full-state snapshot (materialized on demand)."""
-        return self.materialize()
-
     def __repr__(self) -> str:
-        kind = "keyframe" if self.is_keyframe else "delta"
-        return (f"Checkpoint(#{self.index}, {kind}, "
-                f"instr={self.instr_count}, "
+        return (f"Checkpoint(#{self.index}, instr={self.instr_count}, "
                 f"t={self.time_ns / 1e9:.3f}s, cow_pages={self.cow_pages})")
 
 

@@ -146,9 +146,9 @@ class ValidationEngine:
                   fast_path: bool = False) -> ValidationResult:
         result = ValidationResult(consistent=True)
         executor = self.executor or SerialExecutor(process.program)
-        # Materialize the checkpoint's full state once: with
-        # incremental checkpointing this walks the delta chain, so
-        # rebuilding it per iteration would repay O(heap) four times.
+        # Materialize the checkpoint's full state once: it joins the
+        # whole page table, so rebuilding it per iteration would repay
+        # O(heap) four times.
         state = encode_state(checkpoint.materialize())
         tasks = [self._task(process, state, pool, window_end,
                             seed=101 + i)

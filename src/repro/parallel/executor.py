@@ -269,12 +269,6 @@ class ForkExecutor(_ExecutorBase):
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
-    def __del__(self):  # pragma: no cover - interpreter-exit safety
-        try:
-            self.close()
-        except Exception:
-            pass
-
 
 def make_executor(workers: int, program: Program,
                   telemetry=None,

@@ -77,16 +77,23 @@ class TestCheckpointInjection:
     def test_corrupt_checkpoint_scribbles_a_page(self):
         plan = ChaosPlan()
         process, manager = self._checkpointed(plan)
-        # Pick a checkpoint that actually carries page payloads (a
-        # keyframe taken before any COW capture can be pageless).
+        # Pick a checkpoint that actually maps pages (the first one,
+        # taken before the program allocates, can be pageless).
         target = next(c for c in manager.checkpoints if c.pages)
-        before = dict(target.pages)
+        before = list(target.pages)
+        others = {c.index: c.materialize().memory
+                  for c in manager.checkpoints if c is not target}
         plan.arm("checkpoint_corrupt")
         manager.rollback_to(target)
         assert plan.fired["checkpoint_corrupt"] == 1
-        corrupt = [i for i in before if target.pages[i] != before[i]]
+        corrupt = [i for i, payload in enumerate(before)
+                   if target.pages[i] != payload]
         assert len(corrupt) == 1
         assert set(target.pages[corrupt[0]]) == {0xA5}
+        # the restore reached the heap, and no other table changed
+        assert process.mem.snapshot()[0] == b"".join(target.pages)
+        assert others == {c.index: c.materialize().memory
+                          for c in manager.checkpoints if c is not target}
         assert any(e.kind == "chaos.checkpoint_corrupt"
                    for e in manager.events)
 

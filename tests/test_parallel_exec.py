@@ -1,7 +1,10 @@
 """Parallel recovery engine: backends, task protocol, equivalence,
 and failure bounding (DESIGN.md §8)."""
 
+import gc
+import multiprocessing as mp
 import pickle
+import time
 
 import pytest
 
@@ -324,6 +327,26 @@ class TestWorkerDeath:
                 executor.submit([task])
         finally:
             executor.close()
+
+    def test_dropped_executor_stops_its_workers(self):
+        """An executor dropped without close() leaves no workers
+        behind: once the unclosed pool is collected, its manager thread
+        shuts them down."""
+        process, manager, failure = overflow_failure()
+        task = probe_task(process, manager.checkpoints[0],
+                          failure.instr_count + INTERVAL)
+        before = set(mp.active_children())
+        executor = ForkExecutor(2, process.program)
+        assert executor.submit([task]).result(0).passed is not None
+        started = [child for child in mp.active_children()
+                   if child not in before]
+        assert started
+        del executor
+        gc.collect()
+        deadline = time.monotonic() + 10.0
+        while any(child.is_alive() for child in started):
+            assert time.monotonic() < deadline, "workers outlived the pool"
+            time.sleep(0.05)
 
 
 # ---------------------------------------------------------------------

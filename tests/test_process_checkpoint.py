@@ -122,7 +122,7 @@ class TestCheckpointManager:
     def test_cow_accounting_resets_per_interval(self):
         tokens = [1] * 30 + [0]
         p, manager, _ = self.run_with_manager(tokens, interval=100)
-        pages = manager.stats.per_checkpoint_pages
+        pages = [ck.cow_pages for ck in manager.checkpoints]
         # after the first checkpoint the app only redirties its small
         # working set, so page counts stay small and bounded
         assert all(count <= 4 for count in pages[1:])
@@ -207,6 +207,7 @@ class TestAdaptiveInterval:
                                     overhead_target=0.05,
                                     max_interval=200_000)
         manager.run()
-        grown = max(manager.stats.per_checkpoint_interval)
+        grown = max(e.data["interval"]
+                    for e in manager.events.of_kind("checkpoint"))
         assert grown > manager.base_interval
         assert manager.interval < grown
