@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
 from repro.checkpoint.manager import DEFAULT_INTERVAL, CheckpointManager
-from repro.core.changes import DiagnosticPolicy, changes_for
-from repro.core.bugtypes import ALL_BUG_TYPES
+from repro.core.changes import all_preventive_policy
 from repro.heap.extension import ExtensionMode
 from repro.monitors import FailureEvent, default_monitors
 from repro.parallel.tasks import PASS_REASONS, WINDOW_INTERVALS
@@ -116,11 +115,9 @@ class RxRuntime:
         t_start = self.process.clock.now_ns
         window_end = (failure.instr_count
                       + self.window_intervals * self.manager.interval)
-        changes = changes_for(ALL_BUG_TYPES, exposing=False)
         saved_costs = self.process.costs
         for checkpoint in self.manager.recent(self.max_checkpoint_search):
-            policy = DiagnosticPolicy(alloc_default=changes,
-                                      free_default=changes)
+            policy = all_preventive_policy()
             self.manager.rollback_to(checkpoint)
             recovery.rollbacks += 1
             self.process.set_costs(saved_costs.replay_model())

@@ -17,7 +17,6 @@ from repro.checkpoint.manager import DEFAULT_INTERVAL, CheckpointManager
 from repro.core.fleet import fleet_identity
 from repro.core.runtime import FirstAidConfig, FirstAidRuntime, SessionResult
 from repro.heap.extension import ExtensionMode
-from repro.obs.telemetry import Telemetry
 from repro.process import Process
 from repro.vm.program import Program
 from repro.workloads import ALLOC_INTENSIVE, SPEC_INT2000, build_kernel
@@ -102,9 +101,6 @@ class OverheadRun:
     #: Real bytes held by the live checkpoint history at run end
     #: (deduped page payloads), not the cow_pages * page_size estimate.
     retained_bytes: int = 0
-    #: Selected telemetry counters from the run's metrics registry
-    #: (instructions, heap ops, checkpoint work); see overhead_run.
-    metrics: Dict[str, float] = field(default_factory=dict)
 
 
 _SUBJECTS: Optional[List[Subject]] = None
@@ -142,11 +138,9 @@ def overhead_run(subject: Subject, config: str) -> OverheadRun:
     mode = ExtensionMode.OFF if config == "off" else ExtensionMode.NORMAL
     process = Process(subject.program, input_tokens=subject.tokens,
                       mode=mode)
-    telemetry = Telemetry()
-    process.attach_telemetry(telemetry)
     run = OverheadRun(0.0, 0, 0, 0)
     if config == "full":
-        manager = CheckpointManager(process, telemetry=telemetry)
+        manager = CheckpointManager(process)
         manager.run()
         stats = manager.stats
         run.bytes_per_checkpoint = stats.bytes_per_checkpoint
@@ -160,13 +154,6 @@ def overhead_run(subject: Subject, config: str) -> OverheadRun:
     run.instrs = process.instr_count
     run.peak_heap_bytes = process.allocator.peak_heap_bytes
     run.peak_metadata_bytes = process.extension.peak_metadata_bytes
-    snap = telemetry.metrics.snapshot()
-    run.metrics = {
-        name: value
-        for group in ("counters", "gauges")
-        for name, value in snap[group].items()
-        if name.startswith(("vm.", "heap.", "checkpoint."))
-    }
     _RUN_CACHE[key] = run
     return run
 

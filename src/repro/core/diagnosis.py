@@ -42,7 +42,9 @@ bookkeeping the serial engine would have done (salt ledger, rollback
 counters, events, spans), so serial and parallel modes produce
 byte-identical diagnoses; only simulated timestamps differ, because
 batch work is charged max-over-workers (DESIGN.md §8).  Without an
-executor the engine runs the original live-process rollback loop.
+executor each consume rolls the live process back and re-executes it
+there, through the same :func:`~repro.parallel.tasks.reexecute` body
+the tasks run.
 """
 
 from __future__ import annotations
@@ -56,23 +58,22 @@ from repro.checkpoint.snapshot import Checkpoint
 from repro.core.bugtypes import ALL_BUG_TYPES, CHANGE_GROUPS, BugType
 from repro.core.changes import (
     DiagnosticPolicy,
+    all_preventive_policy,
     changes_for,
     exposing_change,
     preventive_change,
 )
-from repro.core.heap_marking import HeapMarking, MarkCorruption
 from repro.core.patches import PatchPool, RuntimePatch
-from repro.heap.extension import (ExtensionMode, IllegalAccess,
-                                  Manifestations)
+from repro.heap.extension import ExtensionMode
 from repro.monitors.base import FailureEvent
 from repro.obs.telemetry import Telemetry
-from repro.parallel.tasks import (PASS_REASONS, WINDOW_INTERVALS,
-                                  ReexecTask, encode_state)
+from repro.parallel.executor import schedule_ns
+from repro.parallel.tasks import (WINDOW_INTERVALS, ReexecTask,
+                                  TaskOutcome, encode_state, reexecute)
 from repro.process import Process
 from repro.search.state import check_policy, relies_on_determinism
 from repro.util.callsite import CallSite
 from repro.util.events import EventLog
-from repro.vm.machine import RunResult
 
 
 #: gauge encoding for the ``diagnosis.search_policy`` metric
@@ -116,19 +117,6 @@ class Diagnosis:
 
 
 @dataclass
-class _Outcome:
-    """One diagnostic re-execution's observations."""
-
-    result: RunResult
-    passed: bool
-    manifestations: Manifestations
-    mark_corruptions: List[MarkCorruption]
-    policy: DiagnosticPolicy
-    #: what the probe recorded (empty unless traced)
-    illegal_accesses: List[IllegalAccess]
-
-
-@dataclass
 class _ProbeReq:
     """One planned probe in a batch: checkpoint + policy + its 1-based
     serial position (which pre-assigns the entropy salt the probe would
@@ -141,53 +129,46 @@ class _ProbeReq:
     trace: bool = False            # record illegal accesses
 
 
-class _LiveBatch:
-    """No executor: probes run lazily on the live process, one per
-    consume, exactly as the original serial engine did."""
-
-    def __init__(self, engine: "DiagnosticEngine",
-                 reqs: List[_ProbeReq], window_end: int):
-        self._engine = engine
-        self._reqs = reqs
-        self._window_end = window_end
-
-    def consume(self, index: int) -> "_Outcome":
-        req = self._reqs[index]
-        return self._engine._reexecute(req.checkpoint, req.policy,
-                                       self._window_end, mark=req.mark,
-                                       trace=req.trace)
-
-    def finish(self) -> None:
-        pass
+def _growth(times: List[int], time_ns: int, workers: int) -> int:
+    """How much appending ``time_ns`` lengthens ``times``'s schedule."""
+    before = schedule_ns(times, workers)
+    times.append(time_ns)
+    return schedule_ns(times, workers) - before
 
 
-class _TaskBatch:
-    """A speculative probe batch on an execution backend.
+class _Batch:
+    """A probe batch, consumed along the serial decision order.
 
-    All tasks dispatch up front; the engine then consumes results along
-    the serial decision order.  Each consume advances the salt ledger
-    and rollback counters exactly as the live probe would have, and
-    charges the main clock *incrementally* under the max-over-workers
-    rule: consumed tasks are assigned round-robin to worker lanes, the
-    batch's cumulative cost is the busiest lane, and consuming task i
-    charges only the delta by which the busiest lane grew.  Rollback
-    cost is modeled as a flat ``restore_base_ns`` per task (a worker
-    clones from the already-materialized snapshot -- fork/COW -- rather
-    than patching pages back into the live heap).  Discarded
-    speculation charges nothing (it ran on spare cores off the critical
-    path) but is counted in ``parallel.tasks_discarded``.
+    Without an executor each consume runs the live probe: roll the live
+    process back and re-execute it at replay costs.  With one, every
+    task dispatches up front and consuming task i charges the main
+    clock by how much the consumed tasks' ``schedule_ns`` grew: the
+    max-over-workers rule, applied incrementally.  Rollback is a flat
+    ``restore_base_ns`` per task there (a worker clones the
+    already-materialized snapshot -- fork/COW -- rather than patching
+    pages back into the live heap).  Discarded speculation charges
+    nothing (it ran on spare cores off the critical path) but is
+    counted in ``parallel.tasks_discarded``.  Either way the consume
+    advances the salt ledger exactly as the serial engine would.
     """
 
     def __init__(self, engine: "DiagnosticEngine",
-                 reqs: List[_ProbeReq], window_end: int):
+                 reqs: List[_ProbeReq], window_end: int, executor=None):
         self._engine = engine
         self._reqs = reqs
-        base = engine._entropy_salt
-        self._tasks = [
-            engine._build_probe_task(req, base + req.salt_offset,
-                                     window_end)
-            for req in reqs]
-        if engine.chaos is not None and self._tasks:
+        self._window_end = window_end
+        self._base = engine._entropy_salt
+        self._executor = executor
+        self._handle = None
+        #: the consumed tasks' rollback and re-execution costs
+        self._rollback_ns: List[int] = []
+        self._reexec_ns: List[int] = []
+        if executor is None:
+            return
+        tasks = [engine._build_probe_task(req, self._base + req.salt_offset,
+                                          window_end)
+                 for req in reqs]
+        if engine.chaos is not None and tasks:
             # Chaos markers ride on the first task of the batch -- the
             # first one the serial decision order consumes -- so an
             # armed probe fault is guaranteed to be observed.  The
@@ -195,42 +176,35 @@ class _TaskBatch:
             # hang only bites real workers (the in-process rescue path
             # ignores it, which *is* the rescue).
             if engine.chaos.take("probe_raise"):
-                self._tasks[0].raise_marker = True
+                tasks[0].raise_marker = True
             if engine.chaos.take("probe_hang"):
-                self._tasks[0].hang_marker = True
-        engine._probes_executed += len(self._tasks)
-        engine._m_probes_total.inc(len(self._tasks))
-        self._handle = engine.executor.submit(self._tasks)
-        workers = max(1, engine.executor.workers)
-        self._lanes_rb = [0] * workers
-        self._lanes_rx = [0] * workers
-        self._charged_rb = 0
-        self._charged_rx = 0
-        self._consumed = 0
+                tasks[0].hang_marker = True
+        engine._note_executed(len(tasks))
+        self._handle = executor.submit(tasks)
 
-    def consume(self, index: int) -> "_Outcome":
+    def consume(self, index: int) -> TaskOutcome:
         engine = self._engine
-        out = self._handle.result(index)
-        task = self._tasks[index]
-        checkpoint = self._reqs[index].checkpoint
-        engine._entropy_salt = task.salt
-        engine._rollbacks += 1
-        engine._m_iterations.inc()
-        engine._m_rollbacks.inc()
-        engine._probes_consumed += 1
-        engine._m_probes_consumed.inc()
-        lane = self._consumed % len(self._lanes_rb)
-        self._consumed += 1
-        self._lanes_rb[lane] += engine.process.costs.restore_base_ns
-        self._lanes_rx[lane] += out.time_ns
-        delta_rb = max(self._lanes_rb) - self._charged_rb
-        delta_rx = max(self._lanes_rx) - self._charged_rx
-        self._charged_rb += delta_rb
-        self._charged_rx += delta_rx
+        req = self._reqs[index]
+        salt = self._base + req.salt_offset
+        if self._handle is None:
+            out = engine._live_probe(req, salt, self._window_end)
+        else:
+            out = self._handle.result(index)
+            self._charge(req.checkpoint, out)
+        engine._note_consumed(req.checkpoint, salt, out)
+        return out
+
+    def _charge(self, checkpoint: Checkpoint, out: TaskOutcome) -> None:
+        engine = self._engine
+        workers = self._executor.workers
+        lane = len(self._reexec_ns) % workers
+        delta_rb = _growth(self._rollback_ns,
+                           engine.process.costs.restore_base_ns, workers)
+        delta_rx = _growth(self._reexec_ns, out.time_ns, workers)
         clock = engine.process.clock
         with engine.telemetry.span("diagnosis.iteration",
                                    checkpoint=checkpoint.index,
-                                   backend=engine.executor.name,
+                                   backend=self._executor.name,
                                    lane=lane) as it_span:
             with engine.telemetry.span("rollback",
                                        to_index=checkpoint.index):
@@ -240,22 +214,11 @@ class _TaskBatch:
             it_span.set(passed=out.passed,
                         reason=out.result.reason.value,
                         task_time_ns=out.time_ns)
-        engine.events.emit(
-            clock.now_ns, "diagnosis.iteration",
-            checkpoint=checkpoint.index, passed=out.passed,
-            reason=out.result.reason.value,
-            overflow_hits=len(out.manifestations.overflow_hits),
-            dangling_write_hits=len(
-                out.manifestations.dangling_write_hits),
-            double_frees=len(out.manifestations.double_free_events),
-            mark_corruptions=len(out.mark_corruptions))
-        return _Outcome(out.result, out.passed, out.manifestations,
-                        out.mark_corruptions, out.policy,
-                        out.illegal_accesses)
 
     def finish(self) -> None:
-        self._engine.executor.note_discarded(
-            self._handle.executed - self._consumed)
+        if self._handle is not None:
+            self._executor.note_discarded(
+                self._handle.executed - len(self._reexec_ns))
 
 
 class DiagnosticEngine:
@@ -282,12 +245,8 @@ class DiagnosticEngine:
         self.telemetry = telemetry or Telemetry.disabled()
         self._m_iterations = \
             self.telemetry.metrics.counter("diagnosis.iterations")
-        self._m_rollbacks = \
-            self.telemetry.metrics.counter("diagnosis.rollbacks")
         self._m_probes_total = \
             self.telemetry.metrics.counter("diagnosis.probes_total")
-        self._m_probes_consumed = \
-            self.telemetry.metrics.counter("diagnosis.probes_consumed")
         self._m_probes_pruned = \
             self.telemetry.metrics.counter("diagnosis.probes_pruned")
         self._m_policy = \
@@ -317,9 +276,10 @@ class DiagnosticEngine:
         #: positive must reach the plain probe to read as
         #: NONDETERMINISTIC.
         self.force_plain_probe = False
+        #: probes consumed along the serial decision path, one rollback
+        #: each
         self._rollbacks = 0
         self._probes_executed = 0
-        self._probes_consumed = 0
         self._probes_pruned = 0
         #: search_info entries of a trace-guided phase 2b
         self._guided: Dict = {}
@@ -333,8 +293,8 @@ class DiagnosticEngine:
     # ------------------------------------------------------------------
 
     def diagnose(self, failure: FailureEvent) -> Diagnosis:
+        self._rollbacks = 0
         self._probes_executed = 0
-        self._probes_consumed = 0
         self._probes_pruned = 0
         self._guided = {}
         self._m_policy.set(_POLICY_CODES[self.search_policy])
@@ -343,7 +303,7 @@ class DiagnosticEngine:
             diag.search_info = {
                 "policy": self.search_policy,
                 "probes_executed": self._probes_executed,
-                "probes_consumed": self._probes_consumed,
+                "probes_consumed": self._rollbacks,
                 "probes_pruned": self._probes_pruned,
                 **self._guided,
             }
@@ -351,7 +311,7 @@ class DiagnosticEngine:
                      rollbacks=diag.rollbacks,
                      search_policy=self.search_policy,
                      probes_executed=self._probes_executed,
-                     probes_consumed=self._probes_consumed,
+                     probes_consumed=self._rollbacks,
                      probes_pruned=self._probes_pruned)
             return diag
 
@@ -413,7 +373,6 @@ class DiagnosticEngine:
     def _diagnose(self, failure: FailureEvent) -> Diagnosis:
         window_end = (failure.instr_count
                       + self.window_intervals * self.manager.interval)
-        self._rollbacks = 0
         diag = Diagnosis(verdict=Verdict.NON_PATCHABLE, failure=failure)
         self.events.emit(self.process.clock.now_ns, "diagnosis.start",
                          failure=failure.describe())
@@ -437,8 +396,9 @@ class DiagnosticEngine:
                 diag, "1a", "deterministic program with empty patch "
                 "pool: plain re-execution must reproduce the failure")
         else:
-            outcome = self._reexecute(candidates[0], DiagnosticPolicy(),
-                                      window_end)
+            outcome = _Batch(
+                self, [_ProbeReq(candidates[0], DiagnosticPolicy(), 1)],
+                window_end).consume(0)
             if outcome.passed:
                 diag.verdict = Verdict.NONDETERMINISTIC
                 diag.rollbacks = self._rollbacks
@@ -449,13 +409,16 @@ class DiagnosticEngine:
                 return diag
 
         # Phase 1b: all-preventive probes, newest checkpoint first,
-        # with heap marking to expose pre-checkpoint bug triggers.
+        # with heap marking to expose pre-checkpoint bug triggers.  A
+        # double free whose first free ran before the checkpoint is
+        # one too (Section 4.1): the check swallows the second free,
+        # but no patch at the first free site could act from there.
         # Probes from different checkpoints are independent, so the
         # whole walk dispatches speculatively as one batch; the serial
         # early-break simply leaves the rest of the batch unconsumed.
         chosen: Optional[Checkpoint] = None
         batch = self._dispatch(
-            [_ProbeReq(cp, _all_preventive(), j + 1,
+            [_ProbeReq(cp, all_preventive_policy(), j + 1,
                        mark=self.use_heap_marking)
              for j, cp in enumerate(candidates)],
             window_end)
@@ -464,7 +427,11 @@ class DiagnosticEngine:
                 if self._rollbacks >= self.max_rollbacks:
                     break
                 outcome = batch.consume(j)
-                if outcome.passed and not outcome.mark_corruptions:
+                released = [
+                    ev for ev in outcome.manifestations.double_free_events
+                    if ev.first_released]
+                if outcome.passed and not outcome.mark_corruptions \
+                        and not released:
                     chosen = checkpoint
                     break
                 if outcome.mark_corruptions:
@@ -472,6 +439,11 @@ class DiagnosticEngine:
                         f"checkpoint #{checkpoint.index}: heap marking "
                         f"exposed {len(outcome.mark_corruptions)} "
                         f"pre-checkpoint corruption(s); trying earlier")
+                if released:
+                    diag.notes.append(
+                        f"checkpoint #{checkpoint.index}: {len(released)} "
+                        f"double free(s) of object(s) released before "
+                        f"the checkpoint; trying earlier")
         finally:
             batch.finish()
         if chosen is None:
@@ -575,10 +547,13 @@ class DiagnosticEngine:
     # re-execution plumbing
     # ------------------------------------------------------------------
 
-    def _reexecute(self, checkpoint: Checkpoint, policy: DiagnosticPolicy,
-                   window_end: int, mark: bool = False,
-                   trace: bool = False) -> _Outcome:
+    def _live_probe(self, req: _ProbeReq, salt: int,
+                    window_end: int) -> TaskOutcome:
+        """Roll the live process back to ``req``'s checkpoint and
+        re-execute it there at replay costs: phase 1a's probe, and
+        every probe when no executor is attached."""
         process = self.process
+        checkpoint = req.checkpoint
         if self.chaos is not None:
             from repro.chaos.faults import ChaosError
             if self.chaos.take("probe_raise"):
@@ -596,69 +571,62 @@ class DiagnosticEngine:
                                  "chaos.probe_hang_rescued",
                                  checkpoint=checkpoint.index,
                                  deadline_ns=self.chaos.probe_timeout_ns)
+        self._note_executed(1)
         with self.telemetry.span("diagnosis.iteration",
                                  checkpoint=checkpoint.index) as it_span:
             with self.telemetry.span("rollback",
                                      to_index=checkpoint.index):
                 self.manager.rollback_to(checkpoint)
-            self._rollbacks += 1
-            self._m_iterations.inc()
-            self._m_rollbacks.inc()
-            self._probes_executed += 1
-            self._probes_consumed += 1
-            self._m_probes_total.inc()
-            self._m_probes_consumed.inc()
-            self._entropy_salt += 1
-            process.reseed_entropy(self._entropy_salt)
-            marking: Optional[HeapMarking] = None
-            if mark:
-                marking = HeapMarking(process.mem, process.allocator)
-                marking.apply()
             saved_costs = process.costs
             process.set_costs(saved_costs.replay_model())
-            process.set_mode(ExtensionMode.DIAGNOSTIC, policy)
-            if trace:
-                process.trace_accesses()
             try:
                 with self.telemetry.span("reexec"):
-                    result = process.run(stop_at=window_end)
+                    out = reexecute(
+                        process, ExtensionMode.DIAGNOSTIC, req.policy,
+                        salt, window_end,
+                        label=_probe_label(checkpoint, salt),
+                        mark=req.mark, trace_accesses=req.trace)
             finally:
                 process.set_costs(saved_costs)
-                if trace:
-                    process.trace_accesses(False)
-            manifestations = process.extension.scan_manifestations()
-            mark_corruptions = marking.scan() if marking else []
-            passed = result.reason in PASS_REASONS
-            it_span.set(passed=passed, reason=result.reason.value)
+            it_span.set(passed=out.passed, reason=out.result.reason.value)
+        return out
+
+    def _note_executed(self, count: int) -> None:
+        self._probes_executed += count
+        self._m_probes_total.inc(count)
+
+    def _note_consumed(self, checkpoint: Checkpoint, salt: int,
+                       out: TaskOutcome) -> None:
+        """Bookkeeping of one consumed probe, whichever path ran it."""
+        self._entropy_salt = salt
+        self._rollbacks += 1
+        self._m_iterations.inc()
+        man = out.manifestations
         self.events.emit(
-            process.clock.now_ns, "diagnosis.iteration",
-            checkpoint=checkpoint.index, passed=passed,
-            reason=result.reason.value,
-            overflow_hits=len(manifestations.overflow_hits),
-            dangling_write_hits=len(manifestations.dangling_write_hits),
-            double_frees=len(manifestations.double_free_events),
-            mark_corruptions=len(mark_corruptions))
-        return _Outcome(result, passed, manifestations, mark_corruptions,
-                        policy, list(process.extension.illegal_accesses))
+            self.process.clock.now_ns, "diagnosis.iteration",
+            checkpoint=checkpoint.index, passed=out.passed,
+            reason=out.result.reason.value,
+            overflow_hits=len(man.overflow_hits),
+            dangling_write_hits=len(man.dangling_write_hits),
+            double_frees=len(man.double_free_events),
+            mark_corruptions=len(out.mark_corruptions))
 
     # ------------------------------------------------------------------
-    # batch plumbing (parallel mode)
+    # batch plumbing
     # ------------------------------------------------------------------
 
-    def _dispatch(self, reqs: List[_ProbeReq], window_end: int):
-        """A batch over the configured backend; the live-process lazy
-        batch when no executor is attached."""
-        if self.executor is None:
-            return _LiveBatch(self, reqs, window_end)
-        return _TaskBatch(self, reqs, window_end)
+    def _dispatch(self, reqs: List[_ProbeReq], window_end: int) -> _Batch:
+        """A batch over the configured backend; live probes when no
+        executor is attached."""
+        return _Batch(self, reqs, window_end, self.executor)
 
     def _probe_one(self, checkpoint: Checkpoint,
                    policy: DiagnosticPolicy, window_end: int,
-                   mark: bool = False, trace: bool = False) -> _Outcome:
+                   trace: bool = False) -> TaskOutcome:
         """A single probe through the batch protocol (a batch of one),
         so serial and parallel modes share one code path."""
         batch = self._dispatch(
-            [_ProbeReq(checkpoint, policy, 1, mark, trace)], window_end)
+            [_ProbeReq(checkpoint, policy, 1, trace=trace)], window_end)
         try:
             return batch.consume(0)
         finally:
@@ -688,7 +656,7 @@ class DiagnosticEngine:
             process.input.prefetch(need)
         return ReexecTask.from_process(
             process, enc, window_end, kind="probe",
-            label=f"probe:cp{checkpoint.index}:salt{salt}",
+            label=_probe_label(checkpoint, salt),
             salt=salt, policy=req.policy, mark=req.mark,
             trace_accesses=req.trace)
 
@@ -709,7 +677,7 @@ class DiagnosticEngine:
                                 free_default=changes)
 
     def _interpret_group(self, group: Sequence[BugType],
-                         outcome: _Outcome,
+                         outcome: TaskOutcome,
                          diag: Diagnosis) -> List[BugType]:
         """Map a group test's observations to identified bug types and
         record the direct evidence (call-sites where available)."""
@@ -769,17 +737,17 @@ class DiagnosticEngine:
 
     def _universe_for(self, bug_type: BugType, checkpoint: Checkpoint,
                       window_end: int, trace: bool = False) \
-            -> Tuple[List[CallSite], _Outcome]:
+            -> Tuple[List[CallSite], TaskOutcome]:
         """All candidate call-sites after the checkpoint: observed by a
         fresh all-preventive run (which always passes), and that run."""
-        outcome = self._probe_one(checkpoint, _all_preventive(),
+        outcome = self._probe_one(checkpoint, all_preventive_policy(),
                                   window_end, trace=trace)
         if bug_type is BugType.UNINIT_READ:
             return list(outcome.policy.seen_alloc_sites), outcome
         return list(outcome.policy.seen_free_sites), outcome
 
     def _guided_sites(self, checkpoint: Checkpoint, bug_type: BugType,
-                      universe: List[CallSite], traced: _Outcome,
+                      universe: List[CallSite], traced: TaskOutcome,
                       window_end: int, all_types: Sequence[BugType]) \
             -> Optional[List[CallSite]]:
         """The trace-guided site search (DESIGN.md §13).  T, the free
@@ -966,9 +934,8 @@ class DiagnosticEngine:
             batch.finish()
 
 
-def _all_preventive() -> DiagnosticPolicy:
-    changes = changes_for(ALL_BUG_TYPES, exposing=False)
-    return DiagnosticPolicy(alloc_default=changes, free_default=changes)
+def _probe_label(checkpoint: Checkpoint, salt: int) -> str:
+    return f"probe:cp{checkpoint.index}:salt{salt}"
 
 
 def _dedupe(sites: Iterable[CallSite]) -> List[CallSite]:

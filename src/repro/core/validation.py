@@ -34,56 +34,27 @@ accounting never touches the live pool.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.checkpoint.snapshot import Checkpoint
 from repro.core.patches import PatchPool
-from repro.heap.extension import IllegalAccess, MMTraceEntry
+from repro.heap.extension import MMTraceEntry
 from repro.obs.telemetry import Telemetry
 from repro.parallel.executor import SerialExecutor, schedule_ns
-from repro.parallel.tasks import ReexecTask, encode_state
+from repro.parallel.tasks import ReexecTask, TaskOutcome, encode_state
 from repro.process import Process
 from repro.util.events import EventLog
-from repro.vm.machine import RunResult
 
-
-@dataclass
-class IterationTrace:
-    """Everything observed in one validation re-execution."""
-
-    seed: int
-    passed: bool
-    result: RunResult
-    mm_trace: List[MMTraceEntry] = field(default_factory=list)
-    illegal_accesses: List[IllegalAccess] = field(default_factory=list)
-    #: Double frees the clone's extension swallowed (fast-path effect
-    #: evidence: a patch absorbing one proves the detection real even
-    #: when the first free predates every checkpoint in the window).
-    double_free_events: List = field(default_factory=list)
-
-    def patch_triggers(self) -> Counter:
-        """patch_id -> number of operations the patch applied to."""
-        counts: Counter = Counter()
-        for entry in self.mm_trace:
-            if entry.patch_id is not None:
-                counts[entry.patch_id] += 1
-        return counts
-
-    def access_multiset(self) -> Counter:
-        """(patch_id, kind, instr, offset) -> count; the identity the
-        consistency criterion (c) compares."""
-        counts: Counter = Counter()
-        for access in self.illegal_accesses:
-            counts[(access.patch_id,) + access.identity()] += 1
-        return counts
+#: allocator seed of the first randomized run; run i uses _FIRST_SEED + i
+_FIRST_SEED = 101
 
 
 @dataclass
 class ValidationResult:
     consistent: bool
-    iterations: List[IterationTrace] = field(default_factory=list)
+    #: the randomized runs, in seed order
+    iterations: List[TaskOutcome] = field(default_factory=list)
     reasons: List[str] = field(default_factory=list)
     time_ns: int = 0
     #: memory-management trace of an *unpatched* re-execution, for the
@@ -151,15 +122,14 @@ class ValidationEngine:
         # O(heap) four times.
         state = encode_state(checkpoint.materialize())
         tasks = [self._task(process, state, pool, window_end,
-                            seed=101 + i)
+                            seed=_FIRST_SEED + i)
                  for i in range(self.iterations)]
         tasks.append(self._baseline_task(process, state, window_end))
         handle = executor.submit(tasks)
         times: List[int] = []
         for i in range(self.iterations):
-            seed = 101 + i
             with self.telemetry.span("validation.run",
-                                     seed=seed) as run_span:
+                                     seed=_FIRST_SEED + i) as run_span:
                 out = handle.result(i)
                 # Validation runs on clones off the recovery path;
                 # their cost is clone-clock time, recorded as an
@@ -169,12 +139,7 @@ class ValidationEngine:
             self._m_runs.inc()
             self._m_trials.inc(len(pool.patches()))
             times.append(out.time_ns)
-            result.iterations.append(IterationTrace(
-                seed=seed, passed=out.passed, result=out.result,
-                mm_trace=out.mm_trace,
-                illegal_accesses=out.illegal_accesses,
-                double_free_events=list(
-                    out.manifestations.double_free_events)))
+            result.iterations.append(out)
         baseline = handle.result(self.iterations)
         times.append(baseline.time_ns)
         result.baseline_mm_trace = baseline.mm_trace
@@ -184,7 +149,7 @@ class ValidationEngine:
             # randomization, which must read as an inconsistent patch
             # and drive the retraction path, never a crash.
             result.iterations[0].passed = False
-            self.events.emit(0, "chaos.validation_flaky", seed=101)
+            self.events.emit(0, "chaos.validation_flaky", seed=_FIRST_SEED)
         # Spare-core accounting: the batch costs its busiest worker
         # lane.  With one worker this is the plain sum, i.e. the
         # original serial validation time.
@@ -236,31 +201,31 @@ class ValidationEngine:
             result.consistent = False
             result.reasons.append("no validation iterations ran")
             return
-        for trace in runs:
+        for seed, trace in enumerate(runs, _FIRST_SEED):
             if not trace.passed:
                 result.consistent = False
                 result.reasons.append(
-                    f"iteration seed={trace.seed} failed the buggy "
+                    f"iteration seed={seed} failed the buggy "
                     f"region under randomization: {trace.result!r}")
         first = runs[0]
-        for trace in runs[1:]:
+        for seed, trace in enumerate(runs[1:], _FIRST_SEED + 1):
             if trace.patch_triggers() != first.patch_triggers():
                 result.consistent = False
                 result.reasons.append(
                     "criterion (a): patch trigger counts differ "
-                    f"between seeds {first.seed} and {trace.seed}")
+                    f"between seeds {_FIRST_SEED} and {seed}")
             if (len(trace.illegal_accesses)
                     != len(first.illegal_accesses)):
                 result.consistent = False
                 result.reasons.append(
                     "criterion (b): neutralized illegal-access totals "
-                    f"differ between seeds {first.seed} and {trace.seed}")
+                    f"differ between seeds {_FIRST_SEED} and {seed}")
             if trace.access_multiset() != first.access_multiset():
                 result.consistent = False
                 result.reasons.append(
                     "criterion (c): illegal accesses differ in "
                     "instruction/offset identity between seeds "
-                    f"{first.seed} and {trace.seed}")
+                    f"{_FIRST_SEED} and {seed}")
 
 
 def _patch_effect_observed(result: ValidationResult, under_test) -> bool:
@@ -287,7 +252,8 @@ def _patch_effect_observed(result: ValidationResult, under_test) -> bool:
                 freed.add(entry.user_addr)
             else:
                 freed.discard(entry.user_addr)
-        bad_frees = {e.user_addr for e in trace.double_free_events}
+        bad_frees = {e.user_addr
+                     for e in trace.manifestations.double_free_events}
         if bad_frees and any(entry.op == "free"
                              and entry.patch_id in ids
                              and entry.user_addr in bad_frees

@@ -37,11 +37,6 @@ class ProgramError(ReproError):
     unknown function, operand count mismatch)."""
 
 
-class AllocatorError(ReproError):
-    """Raised on misuse of the allocator API by host code (not by the
-    simulated program -- simulated heap corruption is a fault)."""
-
-
 class CheckpointError(ReproError):
     """Raised when checkpoint/rollback is used inconsistently, e.g.
     restoring a snapshot from a different machine."""
@@ -61,12 +56,6 @@ class StoreLockTimeout(StoreError):
     """Raised when the store's file lock cannot be acquired within the
     configured timeout, after retry-with-backoff and stale-lock
     breaking."""
-
-
-class DiagnosisTimeout(ReproError):
-    """Raised internally when the diagnostic engine exhausts its rollback
-    budget without isolating a patchable bug.  The runtime converts this
-    into a 'non-patchable' verdict rather than letting it escape."""
 
 
 class SimulatedFault(Exception):

@@ -237,6 +237,10 @@ class DoubleFreeEvent:
     user_addr: int
     second_site: Optional[CallSite]
     first_site: Optional[CallSite]
+    #: The first free really released the object: it was FREED, not
+    #: QUARANTINED, at the second free.  When every free is delayed
+    #: (phase 1b's probe), that free ran before the probe's checkpoint.
+    first_released: bool = False
 
 
 @dataclass
@@ -591,8 +595,7 @@ class AllocatorExtension:
             if self.watch is not None:
                 # Before the add, which may evict the object at once.
                 self._watch_update(obj, self.watch.update)
-            self.quarantine.add(user_addr, obj.user_size, callsite,
-                                decision.canary_fill, patch_id)
+            self.quarantine.add(user_addr, obj.user_size)
         else:
             self._really_free(obj)
 
@@ -633,8 +636,9 @@ class AllocatorExtension:
             obj is not None and obj.state is ObjectState.QUARANTINED)
         first_site = obj.free_site if obj is not None else None
         if check:
-            self._double_free_events.append(
-                DoubleFreeEvent(user_addr, callsite, first_site))
+            self._double_free_events.append(DoubleFreeEvent(
+                user_addr, callsite, first_site,
+                obj is not None and obj.state is ObjectState.FREED))
             if self._tm is not None:
                 self._tm.bad_frees.inc()
             if decision.patch_id is not None:

@@ -8,7 +8,8 @@ the entropy salt, and the instruction budget.  :func:`run_task` turns a
 task into a :class:`TaskOutcome` and is deliberately a pure module-level
 function: the serial backend calls it in-process and the fork backend
 calls it inside worker processes, so both paths execute *identical*
-code and produce identical outcomes.
+code and produce identical outcomes.  Its arm-run-scan body,
+:func:`reexecute`, is also the diagnostic engine's live probe.
 
 Determinism is the load-bearing property (DESIGN.md §8): every input a
 re-execution consumes -- heap state, journal, allocator layout, entropy
@@ -25,6 +26,7 @@ local program.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
@@ -151,8 +153,8 @@ class TaskOutcome:
     kind: str
     result: RunResult
     passed: bool
-    #: The re-execution's own clock time (its clone clock starts at 0),
-    #: i.e. exactly what this attempt would have cost the live process.
+    #: What the run charged its process's clock, i.e. exactly what this
+    #: attempt costs the live process (a clone's clock starts at 0).
     time_ns: int
     manifestations: Any            # heap.extension.Manifestations
     mark_corruptions: List[Any]
@@ -162,14 +164,65 @@ class TaskOutcome:
     #: observed call-site universe (seen_alloc_sites/seen_free_sites).
     policy: Optional[ChangePolicy] = None
 
+    def patch_triggers(self) -> Counter:
+        """patch_id -> number of operations the patch applied to."""
+        counts: Counter = Counter()
+        for entry in self.mm_trace:
+            if entry.patch_id is not None:
+                counts[entry.patch_id] += 1
+        return counts
+
+    def access_multiset(self) -> Counter:
+        """(patch_id, kind, instr, offset) -> count; the identity
+        validation's consistency criterion (c) compares."""
+        counts: Counter = Counter()
+        for access in self.illegal_accesses:
+            counts[(access.patch_id,) + access.identity()] += 1
+        return counts
+
+
+def reexecute(process: Process, mode: ExtensionMode, policy: ChangePolicy,
+              salt: int, window_end: int, label: str = "",
+              kind: str = "probe", mark: bool = False,
+              trace_mm: bool = False,
+              trace_accesses: bool = False) -> TaskOutcome:
+    """One re-execution of ``process`` from the state it holds: arm it
+    (mode and policy, tracing, the entropy salt, heap marking), run it
+    to ``window_end``, then scan what manifested.  :func:`run_task`
+    calls it on a fresh clone and the diagnostic engine on the live
+    process after a rollback, so both probe paths share this body.
+    Access tracing is off again on return."""
+    process.set_mode(mode, policy)
+    process.extension.trace_mm = trace_mm
+    if trace_accesses:
+        process.trace_accesses()
+    process.reseed_entropy(salt)
+    marking = None
+    if mark:
+        marking = HeapMarking(process.mem, process.allocator)
+        marking.apply()
+    start = process.clock.now_ns
+    try:
+        result = process.run(stop_at=window_end)
+    finally:
+        if trace_accesses:
+            process.trace_accesses(False)
+    extension = process.extension
+    return TaskOutcome(
+        label=label, kind=kind, result=result,
+        passed=result.reason in PASS_REASONS,
+        time_ns=process.clock.now_ns - start,
+        manifestations=extension.scan_manifestations(),
+        mark_corruptions=marking.scan() if marking is not None else [],
+        mm_trace=list(extension.mm_trace),
+        illegal_accesses=list(extension.illegal_accesses),
+        policy=policy)
+
 
 def run_task(program: Program, task: ReexecTask) -> TaskOutcome:
-    """Execute one task in the current process.
-
-    Mirrors, step for step, what the in-process engines do to a clone:
-    restore the snapshot, install the policy/patches, reseed entropy,
-    run to the window end, then scan for manifestations.
-    """
+    """Execute one task in the current process: restore the snapshot
+    into a fresh clone, install the policy or patches, then
+    :func:`reexecute` it."""
     if task.raise_marker:
         from repro.chaos.faults import ChaosError
         raise ChaosError(f"injected probe crash ({task.label})")
@@ -181,35 +234,18 @@ def run_task(program: Program, task: ReexecTask) -> TaskOutcome:
     process.input.preload_journal(task.journal)
     process.output.preload(task.output_prefix)
     process.restore(state)
+    mode = ExtensionMode.DIAGNOSTIC
     if task.kind == "validation":
         pool = PatchPool.from_patches(task.pool_name,
                                       task.patches_json or [])
         process.use_randomized_allocator(task.seed or 0)
+        mode = ExtensionMode.VALIDATION
         policy: ChangePolicy = pool.policy()
-        process.set_mode(ExtensionMode.VALIDATION, policy)
     elif task.kind == "baseline":
         policy = ChangePolicy()
-        process.set_mode(ExtensionMode.DIAGNOSTIC, policy)
     else:
         policy = task.policy or ChangePolicy()
-        process.set_mode(ExtensionMode.DIAGNOSTIC, policy)
-    process.extension.trace_mm = task.trace_mm
-    if task.trace_accesses:
-        process.trace_accesses()
-    process.reseed_entropy(task.salt)
-    marking = None
-    if task.mark:
-        marking = HeapMarking(process.mem, process.allocator)
-        marking.apply()
-    result = process.run(stop_at=task.window_end)
-    manifestations = process.extension.scan_manifestations()
-    corruptions = marking.scan() if marking is not None else []
-    return TaskOutcome(
-        label=task.label, kind=task.kind, result=result,
-        passed=result.reason in PASS_REASONS,
-        time_ns=process.clock.now_ns,
-        manifestations=manifestations,
-        mark_corruptions=corruptions,
-        mm_trace=list(process.extension.mm_trace),
-        illegal_accesses=list(process.extension.illegal_accesses),
-        policy=policy)
+    return reexecute(process, mode, policy, task.salt, task.window_end,
+                     label=task.label, kind=task.kind, mark=task.mark,
+                     trace_mm=task.trace_mm,
+                     trace_accesses=task.trace_accesses)

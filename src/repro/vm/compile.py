@@ -311,11 +311,6 @@ class _Emitter:
     def emit(self, line: str) -> None:
         self.lines.append(line)
 
-    def emit_counters(self, indent: str = "") -> None:
-        if "counters" in self.needs:
-            self.emit(indent + "vm._reads += nr")
-            self.emit(indent + "vm._writes += nw")
-
     # -- bookkeeping -----------------------------------------------------
 
     def breadcrumb(self, pc: int, index: int) -> None:
@@ -475,7 +470,6 @@ class CompiledFunction:
             em.emit("continue")
         elif term[0] == "goto":
             em.flush_locals()
-            em.emit_counters()
             em.settle(n)
             em.sync()
             em.emit(f"frame.pc = {term[1]}")
@@ -601,8 +595,7 @@ class CompiledFunction:
                     f" else vm.current_callsite({pc}))")
             return
         if op == isa.MEMSET:
-            em.needs.update(("fault", "mem", "trace", "clock", "costs",
-                             "counters"))
+            em.needs.update(("fault", "mem", "trace", "clock", "costs"))
             em.breadcrumb(pc, index)
             ln = em.fresh_temp()
             em.emit(f"{ln} = {em.read(instr[3])}")
@@ -613,11 +606,9 @@ class CompiledFunction:
             em.emit(f"    mem.fill({a}, {em.read(instr[2])} & 255, "
                     f"{ln})")
             em.emit(f"    clock.charge(costs.fill_cost({ln}))")
-            em.emit("    nw += 1")
             return
         if op == isa.MEMCPY:
-            em.needs.update(("fault", "mem", "trace", "clock", "costs",
-                             "counters"))
+            em.needs.update(("fault", "mem", "trace", "clock", "costs"))
             em.breadcrumb(pc, index)
             ln = em.fresh_temp()
             em.emit(f"{ln} = {em.read(instr[3])}")
@@ -630,8 +621,6 @@ class CompiledFunction:
             self._emit_trace(em, pc, d, ln, True, "    ")
             em.emit(f"    mem.copy_within({d}, {s}, {ln})")
             em.emit(f"    clock.charge(costs.fill_cost({ln}))")
-            em.emit("    nr += 1")
-            em.emit("    nw += 1")
             return
         if op == isa.IN:
             em.needs.add("input")
@@ -648,7 +637,6 @@ class CompiledFunction:
             mult = (index - 1) - em.last_flush
             pd = f"_pd + {mult} * instr_ns" if mult > 0 else "_pd"
             em.emit(f"    vm._pending = {pd}")
-            em.emit_counters("    ")
             em.lines.extend(em.spill_lines("    "))
             em.emit("    return 3")
             em.write(instr[1], f"{t} & " + _MASK)
@@ -726,7 +714,7 @@ class CompiledFunction:
 
     def _emit_load(self, em: _Emitter, pc: int, index: int,
                    instr) -> None:
-        em.needs.update(("fault", "mem", "trace", "counters"))
+        em.needs.update(("fault", "mem", "trace"))
         em.breadcrumb(pc, index)
         size = instr[4]
         a = self._addr_expr(em, instr[2], instr[3])
@@ -744,11 +732,10 @@ class CompiledFunction:
             em.globals[f"_ld{size}"] = UINT_STRUCTS[size].unpack_from
             value = f"_ld{size}(mbuf, {o})[0]"
         em.write(instr[1], value)
-        em.emit("nr += 1")
 
     def _emit_store(self, em: _Emitter, pc: int, index: int,
                     instr) -> None:
-        em.needs.update(("fault", "mem", "trace", "counters"))
+        em.needs.update(("fault", "mem", "trace"))
         em.breadcrumb(pc, index)
         size = instr[3]
         val_slot = instr[4]
@@ -780,7 +767,6 @@ class CompiledFunction:
             em.emit(f"    mdirty.add({p1})")
         else:
             em.emit(f"mdirty.add({p0})")
-        em.emit("nw += 1")
 
     # -- terminators ------------------------------------------------------
 
@@ -793,7 +779,6 @@ class CompiledFunction:
         if op == isa.CALL:
             em.needs.add("frames")
             em.flush_locals()
-            em.emit_counters()
             em.settle(n)
             em.sync()
             callee = instr[2]
@@ -809,7 +794,6 @@ class CompiledFunction:
             return
         if op == isa.RET:
             em.flush_locals()
-            em.emit_counters()
             em.settle(n)
             em.sync()
             em.emit(f"frame.pc = {pc + 1}")
@@ -827,7 +811,6 @@ class CompiledFunction:
             return
         if op == isa.HALT:
             em.flush_locals()
-            em.emit_counters()
             em.settle(n)
             em.sync()
             em.emit(f"frame.pc = {pc + 1}")
@@ -865,7 +848,6 @@ class CompiledFunction:
             em.settle(n)
             em.emit(f"if {taken_expr}:")
             em.emit(f"    frame.pc = {taken_target}")
-            em.emit_counters("    ")
             em.sync("    ")
             em.emit("    return 0")
             em.emit("continue")
@@ -874,12 +856,10 @@ class CompiledFunction:
             em.settle(n)
             em.emit(f"if {fall_expr}:")
             em.emit(f"    frame.pc = {fall_target}")
-            em.emit_counters("    ")
             em.sync("    ")
             em.emit("    return 0")
             em.emit("continue")
             return
-        em.emit_counters()
         em.settle(n)
         em.sync()
         em.emit(f"if {taken_expr}:")
@@ -940,9 +920,6 @@ class CompiledFunction:
             pre.append("    out = vm.output")
         if "entropy" in needs:
             pre.append("    ent = vm.entropy")
-        if "counters" in needs:
-            pre.append("    nr = 0")
-            pre.append("    nw = 0")
         fault = "fault" in needs
         if fault:
             pre.append("    ip = -1")
@@ -967,9 +944,6 @@ class CompiledFunction:
                        f"_ic + {n_instrs} > limit:")
         src.append(f"{indent}    vm.instr_count = _ic")
         src.append(f"{indent}    vm._pending = _pd")
-        if "counters" in needs:
-            src.append(f"{indent}    vm._reads += nr")
-            src.append(f"{indent}    vm._writes += nw")
         if loop_form:
             # A straight-line block stops before it writes anything.
             src.extend(em.spill_lines(indent + "    "))
@@ -986,9 +960,6 @@ class CompiledFunction:
             src.append(f"{h}frame.pc = ip + 1")
             src.append(f"{h}vm.instr_count = _ic + _done[ip]")
             src.append(f"{h}vm._pending = _pd + _unf[ip] * instr_ns")
-            if "counters" in needs:
-                src.append(f"{h}vm._reads += nr")
-                src.append(f"{h}vm._writes += nw")
             src.extend(em.spill_lines(h))
             src.append(f"{h}fault.instr_id = ({self.name!r}, ip)")
             src.append(f"{h}vm.fault = fault")

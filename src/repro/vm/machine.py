@@ -42,28 +42,21 @@ from repro.vm.state import Frame, MachineSnapshot
 
 
 class VMInstruments:
-    """The machine's telemetry counters, batch-flushed.
+    """The machine's telemetry counter, batch-flushed.
 
-    Block closures tally instruction and heap-access counts in plain
-    locals and the run loop flushes them here only at run/stop
-    boundaries (exactly like the clock-charging batching), so
-    telemetry adds no per-instruction Python calls; with telemetry
-    disabled the machine holds no instruments at all.
+    The run loop flushes the instructions a run executed only at its
+    exits (exactly like the clock-charging batching), so telemetry adds
+    no per-instruction Python calls; with telemetry disabled the
+    machine holds no instruments at all.
     """
 
-    __slots__ = ("instructions", "heap_reads", "heap_writes")
+    __slots__ = ("instructions",)
 
     def __init__(self, registry):
         self.instructions = registry.counter("vm.instructions")
-        self.heap_reads = registry.counter("vm.heap_reads")
-        self.heap_writes = registry.counter("vm.heap_writes")
 
-    def flush(self, instrs: int, reads: int, writes: int) -> None:
+    def flush(self, instrs: int) -> None:
         self.instructions.inc(instrs)
-        if reads:
-            self.heap_reads.inc(reads)
-        if writes:
-            self.heap_writes.inc(writes)
 
 
 class RunReason(Enum):
@@ -109,11 +102,9 @@ class Machine:
         self.trace_accesses = False
         #: Set by attach_metrics(); None keeps the hot path untouched.
         self.vm_metrics: Optional[VMInstruments] = None
-        #: Sim-time and telemetry accumulated across block closures,
-        #: charged/flushed at run exits.
+        #: Sim-time accumulated across block closures, charged at run
+        #: exits.
         self._pending = 0
-        self._reads = 0
-        self._writes = 0
         self._jit_unit = None
 
         entry = program.entry
@@ -180,24 +171,18 @@ class Machine:
 
         return self._run_compiled(stop_at)
 
-    def _finish_run(self, pending_ns: int, entry_count: int,
-                    n_reads: int, n_writes: int) -> None:
+    def _finish_run(self, pending_ns: int, entry_count: int) -> None:
         """The one exit sequence every run funnels through: charge
         batched sim-time, flush batched telemetry."""
         if pending_ns:
             self.clock.charge(pending_ns)
         if self.vm_metrics is not None:
-            self.vm_metrics.flush(self.instr_count - entry_count,
-                                  n_reads, n_writes)
+            self.vm_metrics.flush(self.instr_count - entry_count)
 
     def _compiled_exit(self, entry_count: int) -> None:
-        """Charge and flush the batched state block closures left in
-        ``_pending``/``_reads``/``_writes``."""
-        self._finish_run(self._pending, entry_count,
-                         self._reads, self._writes)
+        """Charge the sim-time block closures left in ``_pending``."""
+        self._finish_run(self._pending, entry_count)
         self._pending = 0
-        self._reads = 0
-        self._writes = 0
 
     def _run_compiled(self, stop_at: Optional[int]) -> RunResult:
         if self._jit_unit is None:
@@ -205,8 +190,6 @@ class Machine:
         frames = self.frames
         entry_count = self.instr_count
         self._pending = 0
-        self._reads = 0
-        self._writes = 0
 
         while True:
             if stop_at is not None and self.instr_count >= stop_at:

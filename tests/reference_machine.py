@@ -73,19 +73,11 @@ def run_reference(machine: Machine,
     # overhead, and the clock value is only *observed* at OUT,
     # MALLOC/FREE (extension bookkeeping), and run exits.
     pending_ns = 0
-    # Telemetry counters batch the same way: locals in the loop,
-    # one flush per exit.  tel is False whenever no registry is
-    # attached, so the disabled path adds no calls.
-    vm_metrics = machine.vm_metrics
-    tel = vm_metrics is not None
     entry_count = machine.instr_count
-    n_reads = 0
-    n_writes = 0
 
     while True:
         if stop_at is not None and machine.instr_count >= stop_at:
-            machine._finish_run(pending_ns, entry_count,
-                                n_reads, n_writes)
+            machine._finish_run(pending_ns, entry_count)
             return RunResult(RunReason.STOP)
         frame = frames[-1]
         # No bounds check: Program.finalize appends a sentinel RET
@@ -106,16 +98,12 @@ def run_reference(machine: Machine,
                     ext.note_access(
                         addr, instr[4], False, (frame.func.name, pc))
                 loc[instr[1]] = mem.read_uint(addr, instr[4])
-                if tel:
-                    n_reads += 1
             elif op == isa.STORE:
                 addr = loc[instr[1]] + instr[2]
                 if trace:
                     ext.note_access(
                         addr, instr[3], True, (frame.func.name, pc))
                 mem.write_uint(addr, instr[3], loc[instr[4]])
-                if tel:
-                    n_writes += 1
             elif op == isa.CONST:
                 loc[instr[1]] = instr[2] & _MASK64
             elif op == isa.MOV:
@@ -184,8 +172,7 @@ def run_reference(machine: Machine,
                 finished = frames.pop()
                 if not frames:
                     machine.halted = True
-                    machine._finish_run(pending_ns, entry_count,
-                                        n_reads, n_writes)
+                    machine._finish_run(pending_ns, entry_count)
                     return RunResult(RunReason.HALT)
                 if finished.ret_dst is not None:
                     frames[-1].locals[finished.ret_dst] = value
@@ -210,8 +197,6 @@ def run_reference(machine: Machine,
                             addr, ln, True, (frame.func.name, pc))
                     mem.fill(addr, val & 0xFF, ln)
                     clock.charge(machine.costs.fill_cost(ln))
-                    if tel:
-                        n_writes += 1
             elif op == isa.MEMCPY:
                 dst, src, ln = (loc[instr[1]], loc[instr[2]],
                                 loc[instr[3]])
@@ -222,9 +207,6 @@ def run_reference(machine: Machine,
                         ext.note_access(dst, ln, True, iid)
                     mem.copy_within(dst, src, ln)
                     clock.charge(machine.costs.fill_cost(ln))
-                    if tel:
-                        n_reads += 1
-                        n_writes += 1
             elif op == isa.IN:
                 token = machine.input.next()
                 if token is None:
@@ -235,8 +217,7 @@ def run_reference(machine: Machine,
                     # telemetry matches instr_count exactly.
                     frame.pc = pc
                     machine.instr_count -= 1
-                    machine._finish_run(pending_ns - instr_ns,
-                                        entry_count, n_reads, n_writes)
+                    machine._finish_run(pending_ns - instr_ns, entry_count)
                     return RunResult(RunReason.INPUT_EXHAUSTED)
                 loc[instr[1]] = token & _MASK64
             elif op == isa.OUT:
@@ -249,8 +230,7 @@ def run_reference(machine: Machine,
                     raise AssertionFailure(instr[2] or "assertion failed")
             elif op == isa.HALT:
                 machine.halted = True
-                machine._finish_run(pending_ns, entry_count,
-                                    n_reads, n_writes)
+                machine._finish_run(pending_ns, entry_count)
                 return RunResult(RunReason.HALT)
             elif op == isa.GLOAD:
                 loc[instr[1]] = glb[instr[2]]
@@ -263,8 +243,7 @@ def run_reference(machine: Machine,
             else:  # pragma: no cover - finalize() rejects these
                 raise SimulatedFault(f"illegal opcode {op}")
         except SimulatedFault as fault:
-            machine._finish_run(pending_ns, entry_count,
-                                n_reads, n_writes)
+            machine._finish_run(pending_ns, entry_count)
             fault.instr_id = (frame.func.name, pc)
             machine.fault = fault
             return RunResult(RunReason.FAULT, fault)

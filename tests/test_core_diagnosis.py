@@ -3,10 +3,13 @@ program, heap marking, nondeterministic and non-patchable verdicts."""
 
 import pytest
 
+from repro.apps.registry import get_app
+from repro.bench.harness import run_first_aid, spaced_workload
 from repro.checkpoint.manager import CheckpointManager
 from repro.core.bugtypes import BugType
 from repro.core.diagnosis import DiagnosticEngine, Verdict
 from repro.core.patches import PatchPool
+from repro.core.runtime import FirstAidConfig
 from repro.heap.extension import ExtensionMode
 from repro.monitors import default_monitors
 from repro.vm.machine import RunReason
@@ -456,3 +459,29 @@ def test_rollback_budget_respected():
     diagnosis = engine.diagnose(failure)
     assert diagnosis.rollbacks <= 4  # budget + the final accounting
     assert diagnosis.verdict is Verdict.NON_PATCHABLE
+
+
+@pytest.mark.parametrize("workers, policy", [(1, "fixed"), (2, "bandit")])
+def test_checkpoint_after_a_double_frees_first_free_is_skipped(workers,
+                                                               policy):
+    """Phase 1 must choose a checkpoint before the bug's trigger
+    (Section 4.1).  In this cvs session a double free's first free runs
+    a few instructions before the newest checkpoint: the all-preventive
+    probe from there passes only because the parameter check swallows
+    the second free, and no patch at the first free site could act.
+    Phase 1b walks on to an older checkpoint, and the patch it yields
+    recovers on rung 1 and validates."""
+    app = get_app("cvs")
+    workload = spaced_workload(app, triggers=2, seed=8083447099535471640)
+    runtime, session, _ = run_first_aid(
+        app, workload,
+        config=FirstAidConfig(workers=workers, search_policy=policy))
+    runtime.close()
+    recs = session.recoveries
+    assert session.reason == "halt" and recs
+    for rec in recs:
+        assert rec.rung == 1
+        assert rec.diagnosis.verdict is Verdict.PATCHED
+        assert rec.validation is not None and rec.validation.consistent
+    assert any("released before the checkpoint" in note
+               for rec in recs for note in rec.diagnosis.notes)

@@ -74,7 +74,7 @@ class TestQuarantine:
 
     def test_add_and_contains(self):
         q, released = self.make()
-        q.add(0x1000, 100, None, canary_filled=False)
+        q.add(0x1000, 100)
         assert q.contains(0x1000)
         assert not q.contains(0x2000)
         assert q.current_bytes == 100
@@ -82,15 +82,15 @@ class TestQuarantine:
 
     def test_duplicate_add_rejected(self):
         q, _ = self.make()
-        q.add(0x1000, 100, None, False)
+        q.add(0x1000, 100)
         with pytest.raises(KeyError):
-            q.add(0x1000, 50, None, False)
+            q.add(0x1000, 50)
 
     def test_fifo_eviction_at_threshold(self):
         q, released = self.make(threshold=250)
-        q.add(0x1000, 100, None, False)
-        q.add(0x2000, 100, None, False)
-        q.add(0x3000, 100, None, False)   # 300 > 250: evict oldest
+        q.add(0x1000, 100)
+        q.add(0x2000, 100)
+        q.add(0x3000, 100)   # 300 > 250: evict oldest
         assert released == [0x1000]
         assert not q.contains(0x1000)
         assert q.current_bytes == 200
@@ -98,25 +98,25 @@ class TestQuarantine:
 
     def test_accumulated_bytes_monotonic(self):
         q, _ = self.make(threshold=150)
-        q.add(0x1000, 100, None, False)
-        q.add(0x2000, 100, None, False)   # evicts the first
+        q.add(0x1000, 100)
+        q.add(0x2000, 100)   # evicts the first
         assert q.accumulated_bytes == 200  # still counts both
 
     def test_drain(self):
         q, released = self.make()
-        q.add(0x1000, 10, None, False)
-        q.add(0x2000, 10, None, False)
+        q.add(0x1000, 10)
+        q.add(0x2000, 10)
         drained = q.drain()
-        assert [o.user_addr for o in drained] == [0x1000, 0x2000]
+        assert drained == [(0x1000, 10), (0x2000, 10)]
         assert released == [0x1000, 0x2000]
         assert len(q) == 0
         assert q.current_bytes == 0
 
     def test_snapshot_restore(self):
         q, released = self.make(threshold=10_000)
-        q.add(0x1000, 10, None, True)
+        q.add(0x1000, 10)
         snap = q.snapshot()
-        q.add(0x2000, 10, None, False)
+        q.add(0x2000, 10)
         q.restore(snap)
         assert q.contains(0x1000)
         assert not q.contains(0x2000)
@@ -128,9 +128,9 @@ class TestQuarantine:
         """A bulk drain really frees every entry; each one is an
         eviction in Table 5's accounting, same as threshold evictions."""
         q, _ = self.make(threshold=250)
-        q.add(0x1000, 100, None, False)
-        q.add(0x2000, 100, None, False)
-        q.add(0x3000, 100, None, False)   # threshold eviction: 1
+        q.add(0x1000, 100)
+        q.add(0x2000, 100)
+        q.add(0x3000, 100)   # threshold eviction: 1
         assert q.evictions == 1
         q.drain()                          # bulk: +2
         assert q.evictions == 3
@@ -138,25 +138,23 @@ class TestQuarantine:
         assert q.evictions == 3
 
     def test_snapshot_isolated_from_live_mutation(self):
-        """snapshot() must deep-copy: mutating a live entry after the
-        capture (e.g. patch attribution) must not bleed into the
-        checkpointed state."""
-        q, _ = self.make()
-        q.add(0x1000, 10, None, False)
+        """A checkpoint is restored many times: live mutations after a
+        restore (adds, evictions) must not bleed into the snapshot."""
+        q, _ = self.make(threshold=15)
+        q.add(0x1000, 10)
         snap = q.snapshot()
-        live = q.get(0x1000)
-        live.patch_id = 99
-        live.canary_filled = True
         q.restore(snap)
-        restored = q.get(0x1000)
-        assert restored.patch_id is None
-        assert restored.canary_filled is False
+        q.add(0x2000, 10)                 # evicts 0x1000
+        q.restore(snap)
+        assert list(q) == [0x1000]
+        assert q.current_bytes == 10
+        assert q.evictions == 0
 
     def test_snapshot_restores_eviction_counter(self):
         q, _ = self.make(threshold=150)
-        q.add(0x1000, 100, None, False)
+        q.add(0x1000, 100)
         snap = q.snapshot()
-        q.add(0x2000, 100, None, False)   # evicts 0x1000
+        q.add(0x2000, 100)   # evicts 0x1000
         assert q.evictions == 1
         q.restore(snap)
         assert q.evictions == 0

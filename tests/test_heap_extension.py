@@ -231,6 +231,20 @@ class TestDoubleFree:
         ext.free(a, SITE_F)
         assert len(ext.scan_manifestations().double_free_events) == 1
 
+    def test_double_free_records_whether_the_first_free_released(self):
+        policy = FixedPolicy(free=FreeDecision(delay=True, check_param=True))
+        ext = make_ext(policy)
+        a = ext.malloc(64, SITE_A)
+        ext.free(a, SITE_F)          # delayed: still quarantined
+        ext.free(a, SITE_F)
+        policy.free_decision = FreeDecision(check_param=True)
+        b = ext.malloc(64, SITE_A)
+        ext.free(b, SITE_F)          # really released
+        ext.free(b, SITE_F)
+        events = ext.scan_manifestations().double_free_events
+        assert [(ev.user_addr, ev.first_released) for ev in events] == \
+            [(a, False), (b, True)]
+
 
 class TestAccessTracing:
     def make_tracing(self, policy):

@@ -51,18 +51,17 @@ def test_quarantined_chunks_never_handed_out(script):
     ext = AllocatorExtension(mem, alloc, ExtensionMode.DIAGNOSTIC,
                              delay_policy())
     live = run_ops(ext, script)
-    quarantined = {obj.user_addr: obj for obj in ext.quarantine}
+    quarantined = [ext.object_at(addr) for addr in ext.quarantine]
     # no live object overlaps a quarantined one
     for addr in live:
         obj = ext.object_at(addr)
-        for q in quarantined.values():
+        for q in quarantined:
             assert (obj.block_addr + obj.block_size <= q.user_addr
                     or q.user_addr + q.user_size <= obj.block_addr), \
                 "live object overlaps quarantined memory"
     # quarantined objects are still tracked as QUARANTINED
-    for q in quarantined.values():
-        assert ext.object_at(q.user_addr).state is \
-            ObjectState.QUARANTINED
+    for q in quarantined:
+        assert q.state is ObjectState.QUARANTINED
 
 
 @settings(max_examples=60, deadline=None)

@@ -229,6 +229,45 @@ class TestBackendEquivalence:
         for i, ns in enumerate(fork.validation_time_ns):
             assert ns <= serial.validation_time_ns[i]
 
+    @pytest.mark.parametrize("policy", ["fixed", "bandit"])
+    def test_live_probe_equals_its_task(self, policy, monkeypatch):
+        """The live probe and ``run_task`` share one re-execution body:
+        each live probe of a two-trigger session per app, re-run as
+        ``run_task`` of the task ``_build_probe_task`` makes for the
+        same request and salt, observes the same run."""
+        from repro.apps.registry import real_bug_apps
+        from repro.bench.harness import run_app_session
+
+        live_probe = DiagnosticEngine._live_probe
+        pairs = []
+
+        def twin(engine, req, salt, window_end):
+            # Built (and pickled, as a worker receives it) before the
+            # live run mutates req.policy's seen-site record.
+            task = pickle.loads(pickle.dumps(
+                engine._build_probe_task(req, salt, window_end)))
+            live = live_probe(engine, req, salt, window_end)
+            pairs.append((live, run_task(engine.process.program, task)))
+            return live
+
+        def observed(out):
+            return (out.passed, repr(out.result), out.manifestations,
+                    out.mark_corruptions,
+                    len(out.policy.seen_alloc_sites),
+                    len(out.policy.seen_free_sites),
+                    out.illegal_accesses, out.time_ns)
+
+        monkeypatch.setattr(DiagnosticEngine, "_live_probe", twin)
+        for app in real_bug_apps():
+            run_app_session(app.name, triggers=2, workers=1,
+                            search_policy=policy)
+        assert len(pairs) > 7 * 2
+        assert {live.passed for live, _ in pairs} == {True, False}
+        assert any(live.illegal_accesses for live, _ in pairs) \
+            == (policy == "bandit")
+        for live, task in pairs:
+            assert observed(task) == observed(live)
+
     def test_make_executor_selects_backend(self):
         program = compile_program(OVERFLOW_APP, "sel")
         assert make_executor(1, program) is None
